@@ -3,9 +3,7 @@
 //! BE-SST-style studies sweep large design spaces).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pic_des::{
-    simulate, simulate_with, EngineConfig, MachineSpec, QueueKind, StepWorkload, SyncMode,
-};
+use pic_des::{simulate, MachineSpec, StepWorkload, SyncMode};
 use pic_types::rng::SplitMix64;
 
 /// A synthetic bulk-synchronous schedule with neighbour messages.
@@ -52,24 +50,29 @@ fn des_events(c: &mut Criterion) {
     group.finish();
 }
 
-/// Event-queue pressure: the engine's event loop under deep queues.
+/// Event-queue pressure: the engine's calendar-queue event loop under
+/// deep queues.
 ///
 /// High fan-out schedules keep many in-flight messages resident at once,
 /// so this group measures the push/pop and inline-delivery cost of
 /// `simulate`'s event loop rather than the bookkeeping around it.
-/// Neighbor sync avoids the barrier's batch release, which would
-/// otherwise drain the queue in lockstep and hide queue depth.
+/// Neighbor sync is the mode that runs the queue (bulk-synchronous
+/// schedules take the queue-free barrier fast path).
 fn des_heap_pressure(c: &mut Criterion) {
     let mut group = c.benchmark_group("des_event_queue");
     group.sample_size(10);
-    let ranks = 128usize;
-    let steps = 20usize;
-    for &msgs in &[4usize, 16, 64] {
+    for &(ranks, steps, msgs) in &[
+        (128usize, 20usize, 4usize),
+        (128, 20, 16),
+        (128, 20, 64),
+        (256, 40, 16),
+        (1024, 20, 32),
+    ] {
         let sched = schedule(ranks, steps, msgs, 11);
         let events = (ranks * steps * (1 + msgs)) as u64;
         group.throughput(Throughput::Elements(events));
         group.bench_with_input(
-            BenchmarkId::new("neighbor_sync", format!("fanout{msgs}")),
+            BenchmarkId::new("neighbor_sync", format!("r{ranks}_fanout{msgs}")),
             &sched,
             |b, sched| {
                 let machine = MachineSpec::quartz_like();
@@ -80,37 +83,5 @@ fn des_heap_pressure(c: &mut Criterion) {
     group.finish();
 }
 
-/// Queue duel: the windowed engine under its two `EventQueue`
-/// implementations on the same deep-queue schedules, isolating calendar
-/// vs binary-heap push/pop cost (the fast path is disabled so the
-/// bulk-synchronous row also exercises the queue).
-fn des_queue_duel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("des_queue_duel");
-    group.sample_size(10);
-    let machine = MachineSpec::quartz_like();
-    for &(ranks, steps, msgs) in &[(256usize, 40usize, 16usize), (1024, 20, 32)] {
-        let sched = schedule(ranks, steps, msgs, 17);
-        let events = (ranks * steps * (1 + msgs)) as u64;
-        group.throughput(Throughput::Elements(events));
-        for (name, queue) in [
-            ("heap", QueueKind::BinaryHeap),
-            ("calendar", QueueKind::Calendar),
-        ] {
-            let cfg = EngineConfig {
-                queue,
-                barrier_fast_path: false,
-            };
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("r{ranks}_fanout{msgs}")),
-                &sched,
-                |b, sched| {
-                    b.iter(|| simulate_with(sched, &machine, SyncMode::NeighborSync, cfg).unwrap());
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, des_events, des_heap_pressure, des_queue_duel);
+criterion_group!(benches, des_events, des_heap_pressure);
 criterion_main!(benches);

@@ -8,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_bench::synthetic_expanding_trace;
 use pic_mapping::MappingAlgorithm;
+use pic_oracle::generate_reference;
 use pic_trace::codec::{encode_trace, Precision};
 use pic_workload::generator::{self, WorkloadConfig};
 
@@ -26,7 +27,7 @@ fn dwg_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sequential_reference", ranks),
             &cfg,
-            |b, cfg| b.iter(|| generator::generate_reference(&trace, cfg, None).unwrap()),
+            |b, cfg| b.iter(|| generate_reference(&trace, cfg, None).unwrap()),
         );
         group.bench_with_input(BenchmarkId::new("parallel", ranks), &cfg, |b, cfg| {
             b.iter(|| generator::generate(&trace, cfg).unwrap())
@@ -34,7 +35,7 @@ fn dwg_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("streaming", ranks), &cfg, |b, cfg| {
             b.iter(|| {
                 let reader = pic_trace::TraceReader::new(&encoded[..]).unwrap();
-                generator::generate_streaming(reader, cfg, None).unwrap()
+                generator::generate_streaming_with_stats(reader, cfg, None).unwrap()
             })
         });
     }

@@ -1,11 +1,12 @@
 //! DES engine scaling runner: times the dense `BinaryHeap` reference
-//! engine against the rebuilt windowed engine (heap and calendar queues,
-//! plus the bulk-synchronous barrier fast path) on PIC-shaped schedules
+//! engine (`pic_oracle::simulate_reference`) against the production
+//! engine — the windowed calendar-queue engine in neighbor-sync mode, the
+//! barrier fast path in bulk-synchronous mode — on PIC-shaped schedules
 //! from 1k to 100k ranks, and writes the measurements to `BENCH_DES.json`.
 //!
-//! Every engine's full `SimTimeline` is compared bit-for-bit against the
-//! reference on every configuration — the speedups are only claimed on
-//! identical outputs. The report also carries the O(steps·ranks) dense
+//! The production engine's full `SimTimeline` is compared bit-for-bit
+//! against the reference on every configuration — the speedups are only
+//! claimed on identical outputs. The report also carries the O(steps·ranks) dense
 //! state footprint next to the windowed engine's measured peak, the
 //! events/second for each engine, and a 100k-rank 200-step end-to-end
 //! prediction run.
@@ -13,16 +14,16 @@
 //! Usage: `cargo run --release -p pic-bench --bin des_bench
 //!         [output.json] [--smoke]`
 //!
-//! `--smoke` shrinks the matrix to CI scale; it still runs every engine
+//! `--smoke` shrinks the matrix to CI scale; it still runs both engines
 //! on every configuration and exits non-zero on any divergence from the
 //! reference (in either mode this binary exits non-zero on divergence —
 //! smoke only controls the scale).
 #![forbid(unsafe_code)]
 
 use pic_des::{
-    dense_state_bytes, simulate_reference, simulate_with_stats, EngineConfig, MachineSpec,
-    QueueKind, SimTimeline, StepWorkload, SyncMode,
+    simulate_with_stats, EngineConfig, MachineSpec, SimTimeline, StepWorkload, SyncMode,
 };
+use pic_oracle::{dense_state_bytes, simulate_reference};
 use pic_types::rng::SplitMix64;
 use serde::Serialize;
 use std::time::Instant;
@@ -105,15 +106,13 @@ struct ConfigReport {
     events: u64,
     reference: EngineTiming,
     engines: Vec<EngineTiming>,
-    /// Reference wall time over the best windowed/calendar engine's.
+    /// Reference wall time over the production engine's.
     speedup_vs_reference: f64,
-    /// Windowed-heap wall time over windowed-calendar wall time.
-    heap_over_calendar: f64,
-    /// Exact `SimTimeline` equality (every engine vs the reference).
+    /// Exact `SimTimeline` equality (production engine vs the reference).
     outputs_identical: bool,
     /// O(steps·ranks) dense footprint of the old engine, bytes.
     dense_state_bytes: usize,
-    /// Dense footprint over the windowed engine's measured peak.
+    /// Dense footprint over the production engine's measured peak.
     state_reduction: f64,
 }
 
@@ -198,72 +197,40 @@ fn run_case(case: &Case, machine: &MachineSpec, seed: u64) -> ConfigReport {
         ref_secs, reference.events_per_sec
     );
 
-    // The contenders: windowed engine under both queues, and — in
-    // bulk-synchronous mode — the barrier fast path.
-    let mut variants: Vec<(&'static str, EngineConfig)> = vec![
-        (
-            "windowed-heap",
-            EngineConfig {
-                queue: QueueKind::BinaryHeap,
-                barrier_fast_path: false,
-            },
-        ),
-        (
-            "windowed-calendar",
-            EngineConfig {
-                queue: QueueKind::Calendar,
-                barrier_fast_path: false,
-            },
-        ),
-    ];
-    if case.mode == SyncMode::BulkSynchronous {
-        variants.push(("barrier-fast-path", EngineConfig::default()));
-    }
-
-    let mut engines = Vec::new();
-    let mut outputs_identical = true;
-    let mut windowed_peak = usize::MAX;
-    let mut heap_secs = f64::NAN;
-    let mut calendar_secs = f64::NAN;
-    let mut best_new = f64::INFINITY;
-    for (name, cfg) in variants {
-        let (secs, timeline, stats) = time_engine(case.reps, || {
-            simulate_with_stats(&sched, machine, case.mode, cfg).expect("windowed engine")
-        });
-        if timeline != ref_timeline {
-            eprintln!(
-                "des_bench: OUTPUT DIVERGENCE — {name} != reference on {}",
-                case.name
-            );
-            outputs_identical = false;
-        }
-        match name {
-            "windowed-heap" => heap_secs = secs,
-            "windowed-calendar" => calendar_secs = secs,
-            _ => {}
-        }
-        if name != "barrier-fast-path" {
-            windowed_peak = windowed_peak.min(stats.state_bytes_peak);
-        }
-        best_new = best_new.min(secs);
+    // The contender: the production engine, which takes the barrier fast
+    // path in bulk-synchronous mode and the windowed calendar-queue
+    // engine in neighbor-sync mode.
+    let name = match case.mode {
+        SyncMode::BulkSynchronous => "barrier-fast-path",
+        SyncMode::NeighborSync => "windowed-calendar",
+    };
+    let (secs, timeline, stats) = time_engine(case.reps, || {
+        simulate_with_stats(&sched, machine, case.mode, EngineConfig).expect("engine")
+    });
+    let outputs_identical = timeline == ref_timeline;
+    if !outputs_identical {
         eprintln!(
-            "  {name:<17} {:>9.3}s  {:>12.0} ev/s  queue≤{} window≤{} state {:.1} MiB",
-            secs,
-            events as f64 / secs,
-            stats.peak_queue_len,
-            stats.peak_window_steps,
-            stats.state_bytes_peak as f64 / (1024.0 * 1024.0)
+            "des_bench: OUTPUT DIVERGENCE — {name} != reference on {}",
+            case.name
         );
-        engines.push(EngineTiming {
-            engine: name,
-            reps: case.reps,
-            best_secs: secs,
-            events_per_sec: events as f64 / secs,
-            peak_queue_len: stats.peak_queue_len,
-            peak_window_steps: stats.peak_window_steps,
-            state_bytes_peak: stats.state_bytes_peak,
-        });
     }
+    eprintln!(
+        "  {name:<17} {:>9.3}s  {:>12.0} ev/s  queue≤{} window≤{} state {:.1} MiB",
+        secs,
+        events as f64 / secs,
+        stats.peak_queue_len,
+        stats.peak_window_steps,
+        stats.state_bytes_peak as f64 / (1024.0 * 1024.0)
+    );
+    let engines = vec![EngineTiming {
+        engine: name,
+        reps: case.reps,
+        best_secs: secs,
+        events_per_sec: events as f64 / secs,
+        peak_queue_len: stats.peak_queue_len,
+        peak_window_steps: stats.peak_window_steps,
+        state_bytes_peak: stats.state_bytes_peak,
+    }];
 
     ConfigReport {
         name: case.name.to_string(),
@@ -275,11 +242,10 @@ fn run_case(case: &Case, machine: &MachineSpec, seed: u64) -> ConfigReport {
         events,
         reference,
         engines,
-        speedup_vs_reference: ref_secs / best_new,
-        heap_over_calendar: heap_secs / calendar_secs,
+        speedup_vs_reference: ref_secs / secs,
         outputs_identical,
         dense_state_bytes: dense_bytes,
-        state_reduction: dense_bytes as f64 / windowed_peak as f64,
+        state_reduction: dense_bytes as f64 / stats.state_bytes_peak as f64,
     }
 }
 
@@ -366,7 +332,7 @@ fn main() {
             },
             // Neighbor-sync coverage at scatter fan-out: no fast path
             // applies here, so this isolates windowed state + inlined
-            // delivery + queue choice against the dense heap engine.
+            // delivery + the calendar queue against the dense heap engine.
             Case {
                 name: "neighbor-sync-1k-fanout16",
                 ranks: 1024,

@@ -11,8 +11,9 @@
 
 use pic_bench::{parse_thread_list, run_thread_scaling, synthetic_expanding_trace, ThreadPoint};
 use pic_mapping::{BinMapper, MappingAlgorithm, ParticleMapper, RegionIndex};
+use pic_oracle::{generate_reference, ghost_counts_chunked};
 use pic_trace::codec::{encode_trace, Precision};
-use pic_workload::generator::{self, ghost_counts_chunked, DynamicWorkload, WorkloadConfig};
+use pic_workload::generator::{self, DynamicWorkload, WorkloadConfig};
 use pic_workload::soa::{ghost_counts_soa, SoAPositions};
 use serde::Serialize;
 use std::time::Instant;
@@ -113,15 +114,15 @@ fn main() {
     let trace = synthetic_expanding_trace(particles, samples, 7);
     let encoded = encode_trace(&trace, Precision::F64).expect("encode trace");
 
-    let (seq, w_seq) = time_path(2, || {
-        generator::generate_reference(&trace, &cfg, None).unwrap()
-    });
+    let (seq, w_seq) = time_path(2, || generate_reference(&trace, &cfg, None).unwrap());
     eprintln!("  sequential reference: best {:.3}s", seq.best_secs);
     let (par, w_par) = time_path(3, || generator::generate(&trace, &cfg).unwrap());
     eprintln!("  chunked parallel:     best {:.3}s", par.best_secs);
     let (stream, w_stream) = time_path(3, || {
         let reader = pic_trace::TraceReader::new(&encoded[..]).unwrap();
-        generator::generate_streaming(reader, &cfg, None).unwrap()
+        generator::generate_streaming_with_stats(reader, &cfg, None)
+            .unwrap()
+            .0
     });
     eprintln!("  pipelined streaming:  best {:.3}s", stream.best_secs);
     let mut cfg_ng = cfg.clone();

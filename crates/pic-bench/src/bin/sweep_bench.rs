@@ -13,7 +13,7 @@
 //!         [output.json] [--smoke] [--threads 1,2,4]`
 //!
 //! `--smoke` shrinks the grid to CI scale and additionally checks every
-//! grid point against the sequential `generate_reference` oracle,
+//! grid point against the sequential `pic_oracle::generate_reference` oracle,
 //! exiting non-zero on any divergence.
 #![forbid(unsafe_code)]
 
@@ -22,6 +22,7 @@ use pic_bench::{
 };
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
+use pic_oracle::generate_reference;
 use pic_types::Aabb;
 use pic_workload::generator::{self, DynamicWorkload, WorkloadConfig};
 use pic_workload::sweep::{self, SweepPoint, SweepStats};
@@ -188,8 +189,8 @@ fn main() {
     let mut oracle_checked = false;
     if smoke {
         for (p, w) in points.iter().zip(&w_sweep) {
-            let reference = generator::generate_reference(&trace, &p.config, Some(&mesh))
-                .expect("reference replay");
+            let reference =
+                generate_reference(&trace, &p.config, Some(&mesh)).expect("reference replay");
             if *w != reference {
                 eprintln!(
                     "sweep_bench: ORACLE DIVERGENCE at ranks={} filter={}",

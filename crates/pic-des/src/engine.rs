@@ -8,8 +8,7 @@
 //!
 //! This module holds the paper-scale engine (see `DESIGN.md` §16):
 //!
-//! * a pluggable [`crate::queue::EventQueue`] — calendar
-//!   queue by default, `BinaryHeap` as the oracle;
+//! * one event queue, the [`crate::queue::CalendarQueue`];
 //! * a **sliding step window**: only the steps some rank is currently on
 //!   are resident, each as a flat CSR slot, so memory is
 //!   O(window·ranks) instead of O(steps·ranks);
@@ -21,14 +20,16 @@
 //! * a **barrier fast path** for [`SyncMode::BulkSynchronous`]: with a
 //!   global barrier every step is independent, so each reduces to a
 //!   vectorized compute pass, a message epilogue, and a max — no event
-//!   queue at all.
+//!   queue at all. The windowed engine therefore only ever runs
+//!   [`SyncMode::NeighborSync`].
 //!
-//! All variants return bit-identical [`SimTimeline`]s; the old dense
-//! engine survives as [`crate::reference::simulate_reference`] and
-//! `des_bench --smoke` plus the proptests assert exact equality.
+//! Both paths return [`SimTimeline`]s bit-identical to the dense
+//! reference engine in the dev-only `pic-oracle` crate;
+//! `des_bench --smoke` and the `pic-des` integration tests assert exact
+//! equality.
 
 use crate::machine::MachineSpec;
-use crate::queue::{CalendarQueue, Event, EventKind, EventQueue, HeapQueue};
+use crate::queue::{CalendarQueue, Event, EventKind};
 use pic_types::{PicError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -56,8 +57,9 @@ pub enum SyncMode {
     NeighborSync,
 }
 
-/// Simulation output: the predicted execution timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Simulation output: the predicted execution timeline. The default is
+/// the all-zero timeline of an empty schedule.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimTimeline {
     /// Predicted total application seconds.
     pub total_seconds: f64,
@@ -84,38 +86,13 @@ impl SimTimeline {
     }
 }
 
-/// Which [`crate::queue::EventQueue`] implementation the engine
-/// schedules events on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
-pub enum QueueKind {
-    /// The classic `BinaryHeap` (O(log n) per op) — the oracle.
-    BinaryHeap,
-    /// The calendar queue (O(1) amortized per op) — the default.
-    Calendar,
-}
-
-/// Engine tuning knobs. The default — calendar queue, barrier fast path
-/// on — is what [`simulate`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Event-queue implementation for event-driven runs.
-    pub queue: QueueKind,
-    /// Use the queue-free batched step evaluation when the sync mode is
-    /// [`SyncMode::BulkSynchronous`]. Sound because a global barrier
-    /// makes every step's compute-done times independent (checked by
-    /// `pic-analysis`'s batching model).
-    pub barrier_fast_path: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            queue: QueueKind::Calendar,
-            barrier_fast_path: true,
-        }
-    }
-}
+/// Engine configuration. It has no fields: the engine always uses the
+/// calendar queue, and the barrier fast path for
+/// [`SyncMode::BulkSynchronous`]. The type and the config parameter of
+/// [`simulate_with_stats`] stay only because the `perfbench` benchmark
+/// constructs `EngineConfig::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineConfig;
 
 /// Execution statistics of one simulation run, for bench reports and the
 /// `picpredict` CLI.
@@ -131,19 +108,8 @@ pub struct SimStats {
     pub peak_window_steps: usize,
     /// Peak bookkeeping bytes (window slots + pending events) — the
     /// engine's memory proxy, to compare against the dense oracle's
-    /// [`crate::reference::dense_state_bytes`].
+    /// `pic_oracle::dense_state_bytes`.
     pub state_bytes_peak: usize,
-}
-
-/// The all-zero timeline for an empty schedule.
-pub(crate) fn empty_timeline() -> SimTimeline {
-    SimTimeline {
-        total_seconds: 0.0,
-        rank_finish: vec![],
-        rank_idle: vec![],
-        step_finish: vec![],
-        events_processed: 0,
-    }
 }
 
 /// Admission validation: every quantity that could produce a NaN or
@@ -151,8 +117,8 @@ pub(crate) fn empty_timeline() -> SimTimeline {
 /// `(time, seq)` comparison deeper in the engine never sees a non-finite
 /// time (it would otherwise panic mid-simulation in `Event::cmp`).
 ///
-/// Returns the rank count.
-pub(crate) fn validate_schedule(steps: &[StepWorkload]) -> Result<usize> {
+/// Returns the rank count of a non-empty schedule.
+pub fn validate_schedule(steps: &[StepWorkload]) -> Result<usize> {
     let ranks = steps[0].compute_seconds.len();
     if ranks == 0 {
         return Err(PicError::sim("schedule has zero ranks"));
@@ -194,25 +160,21 @@ struct Slot {
     /// re-checks a completed `(rank, step)` because no further events for
     /// it exist; with inlined delivery a sender's handler may probe a
     /// receiver more than once, so completion must be made idempotent
-    /// explicitly (a bulk-synchronous rank stays on `s` until release).
+    /// explicitly.
     completed: Vec<bool>,
     outbox_off: Vec<u32>,
     outbox_dst: Vec<u32>,
     outbox_bytes: Vec<u64>,
     /// Ranks that have moved past this step; the slot retires at `ranks`.
     passed: u32,
-    /// Barrier bookkeeping (bulk-synchronous only).
-    barrier_remaining: u32,
-    barrier_time: f64,
 }
 
-/// The windowed event-driven engine, generic over the event queue.
-struct WindowEngine<'a, Q: EventQueue> {
+/// The windowed event-driven engine for [`SyncMode::NeighborSync`].
+struct WindowEngine<'a> {
     steps: &'a [StepWorkload],
     machine: &'a MachineSpec,
-    mode: SyncMode,
     ranks: usize,
-    queue: Q,
+    queue: CalendarQueue,
     seq: u64,
     /// Current step of each rank (`u32::MAX` = finished).
     rank_step: Vec<u32>,
@@ -235,20 +197,13 @@ struct WindowEngine<'a, Q: EventQueue> {
     peak_bytes: usize,
 }
 
-impl<'a, Q: EventQueue> WindowEngine<'a, Q> {
-    fn new(
-        steps: &'a [StepWorkload],
-        machine: &'a MachineSpec,
-        mode: SyncMode,
-        ranks: usize,
-        queue: Q,
-    ) -> Self {
+impl<'a> WindowEngine<'a> {
+    fn new(steps: &'a [StepWorkload], machine: &'a MachineSpec, ranks: usize) -> Self {
         WindowEngine {
             steps,
             machine,
-            mode,
             ranks,
-            queue,
+            queue: CalendarQueue::new(),
             seq: 0,
             rank_step: vec![0; ranks],
             compute_done: vec![f64::NAN; ranks],
@@ -293,8 +248,6 @@ impl<'a, Q: EventQueue> WindowEngine<'a, Q> {
         slot.outbox_bytes.clear();
         slot.outbox_bytes.resize(st.messages.len(), 0);
         slot.passed = 0;
-        slot.barrier_remaining = ranks as u32;
-        slot.barrier_time = 0.0;
         // CSR counting sort by sender; stable, so each sender's messages
         // keep their schedule order (matching the oracle's outboxes).
         for &(from, _, _) in &st.messages {
@@ -340,7 +293,7 @@ impl<'a, Q: EventQueue> WindowEngine<'a, Q> {
     }
 
     /// If rank `r` has completed step `s` (compute + inbound messages),
-    /// mark it ready and advance directly or via the barrier.
+    /// mark it ready and advance it.
     fn try_ready(&mut self, r: usize, s: usize) {
         if self.rank_step[r] as usize != s {
             return;
@@ -359,27 +312,8 @@ impl<'a, Q: EventQueue> WindowEngine<'a, Q> {
         self.window[si].completed[r] = true;
         let ready_at = cdone.max(self.window[si].last_arrival[r]);
         self.step_finish[s] = self.step_finish[s].max(ready_at);
-        match self.mode {
-            SyncMode::NeighborSync => {
-                self.idle[r] += (ready_at - cdone).max(0.0);
-                self.advance(r, s, ready_at);
-            }
-            SyncMode::BulkSynchronous => {
-                let slot = &mut self.window[si];
-                slot.barrier_time = slot.barrier_time.max(ready_at);
-                slot.barrier_remaining -= 1;
-                if slot.barrier_remaining == 0 {
-                    let release = slot.barrier_time + self.machine.barrier_time(self.ranks);
-                    for rr in 0..self.ranks {
-                        // idle covers both message wait and barrier wait
-                        let cd = self.compute_done[rr];
-                        debug_assert!(!cd.is_nan());
-                        self.idle[rr] += (release - cd).max(0.0);
-                        self.advance(rr, s, release);
-                    }
-                }
-            }
-        }
+        self.idle[r] += (ready_at - cdone).max(0.0);
+        self.advance(r, s, ready_at);
     }
 
     /// Move rank `r` past step `s`: start the next step or record finish.
@@ -456,7 +390,7 @@ impl<'a, Q: EventQueue> WindowEngine<'a, Q> {
         }
         let total = self.rank_finish.iter().copied().fold(0.0f64, f64::max);
         let stats = SimStats {
-            queue: self.queue.name(),
+            queue: "calendar",
             barrier_fast_path: false,
             peak_queue_len: self.peak_queue,
             peak_window_steps: self.peak_window,
@@ -533,18 +467,18 @@ fn simulate_barrier_fast(
     )
 }
 
-/// Simulate with explicit engine configuration, returning execution
-/// statistics alongside the timeline.
+/// Simulate, returning execution statistics alongside the timeline.
+/// `config` carries nothing (see [`EngineConfig`]).
 pub fn simulate_with_stats(
     steps: &[StepWorkload],
     machine: &MachineSpec,
     mode: SyncMode,
-    config: EngineConfig,
+    _config: EngineConfig,
 ) -> Result<(SimTimeline, SimStats)> {
     machine.validate()?;
     if steps.is_empty() {
         return Ok((
-            empty_timeline(),
+            SimTimeline::default(),
             SimStats {
                 queue: "none",
                 barrier_fast_path: false,
@@ -555,27 +489,10 @@ pub fn simulate_with_stats(
         ));
     }
     let ranks = validate_schedule(steps)?;
-    if mode == SyncMode::BulkSynchronous && config.barrier_fast_path {
-        return Ok(simulate_barrier_fast(steps, machine, ranks));
-    }
-    match config.queue {
-        QueueKind::BinaryHeap => {
-            Ok(WindowEngine::new(steps, machine, mode, ranks, HeapQueue::new()).run())
-        }
-        QueueKind::Calendar => {
-            Ok(WindowEngine::new(steps, machine, mode, ranks, CalendarQueue::new()).run())
-        }
-    }
-}
-
-/// Simulate with explicit engine configuration.
-pub fn simulate_with(
-    steps: &[StepWorkload],
-    machine: &MachineSpec,
-    mode: SyncMode,
-    config: EngineConfig,
-) -> Result<SimTimeline> {
-    simulate_with_stats(steps, machine, mode, config).map(|(t, _)| t)
+    Ok(match mode {
+        SyncMode::BulkSynchronous => simulate_barrier_fast(steps, machine, ranks),
+        SyncMode::NeighborSync => WindowEngine::new(steps, machine, ranks).run(),
+    })
 }
 
 /// Simulate the PIC schedule on a target machine.
@@ -583,19 +500,17 @@ pub fn simulate_with(
 /// `steps[s].compute_seconds` must have one entry per rank (consistent
 /// across steps). Compute times are scaled by the machine's
 /// `compute_scale`; message times come from its latency/bandwidth model.
-/// Uses the default [`EngineConfig`] (calendar queue, barrier fast path).
 pub fn simulate(
     steps: &[StepWorkload],
     machine: &MachineSpec,
     mode: SyncMode,
 ) -> Result<SimTimeline> {
-    simulate_with(steps, machine, mode, EngineConfig::default())
+    simulate_with_stats(steps, machine, mode, EngineConfig).map(|(t, _)| t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::simulate_reference;
 
     fn machine() -> MachineSpec {
         MachineSpec {
@@ -619,46 +534,11 @@ mod tests {
             .collect()
     }
 
-    /// Every engine variant on the same input.
-    fn all_variants(
-        steps: &[StepWorkload],
-        m: &MachineSpec,
-        mode: SyncMode,
-    ) -> Vec<(&'static str, SimTimeline)> {
-        let mut out = vec![(
-            "reference",
-            simulate_reference(steps, m, mode).expect("reference"),
-        )];
-        for (name, cfg) in [
-            (
-                "heap",
-                EngineConfig {
-                    queue: QueueKind::BinaryHeap,
-                    barrier_fast_path: false,
-                },
-            ),
-            (
-                "calendar",
-                EngineConfig {
-                    queue: QueueKind::Calendar,
-                    barrier_fast_path: false,
-                },
-            ),
-            ("default", EngineConfig::default()),
-        ] {
-            out.push((name, simulate_with(steps, m, mode, cfg).expect(name)));
-        }
-        out
-    }
-
-    /// Assert all engine variants agree bit-for-bit.
-    fn assert_identical(steps: &[StepWorkload], m: &MachineSpec, mode: SyncMode) -> SimTimeline {
-        let variants = all_variants(steps, m, mode);
-        let (base_name, base) = &variants[0];
-        for (name, t) in &variants[1..] {
-            assert_eq!(t, base, "{name} diverged from {base_name} ({mode:?})");
-        }
-        base.clone()
+    /// Exact equality with the dense reference engine over these
+    /// schedules lives in `tests/oracle.rs` (the oracle crate depends on
+    /// this one, so unit tests cannot share types with it).
+    fn run(steps: &[StepWorkload], m: &MachineSpec, mode: SyncMode) -> SimTimeline {
+        simulate(steps, m, mode).expect("simulate")
     }
 
     #[test]
@@ -672,7 +552,7 @@ mod tests {
     fn uniform_compute_no_messages() {
         let steps = steps_uniform(4, 3, 2.0);
         for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
-            let t = assert_identical(&steps, &machine(), mode);
+            let t = run(&steps, &machine(), mode);
             assert!((t.total_seconds - 6.0).abs() < 1e-12, "{mode:?}");
             assert!(t.rank_idle.iter().all(|&i| i.abs() < 1e-12));
             assert_eq!(t.step_finish, vec![2.0, 4.0, 6.0]);
@@ -692,13 +572,13 @@ mod tests {
                 messages: vec![],
             },
         ];
-        let t = assert_identical(&steps, &machine(), SyncMode::BulkSynchronous);
+        let t = run(&steps, &machine(), SyncMode::BulkSynchronous);
         // barrier: step0 ends at 3, step1 ends at 3+3=6
         assert!((t.total_seconds - 6.0).abs() < 1e-12);
         // rank1 idled 2s at the first barrier; rank0 none before its finish
         assert!((t.rank_idle[1] - 2.0).abs() < 1e-12);
         // neighbor sync: rank1 runs 1+3 = 4, rank0 runs 3+1 = 4
-        let t = assert_identical(&steps, &machine(), SyncMode::NeighborSync);
+        let t = run(&steps, &machine(), SyncMode::NeighborSync);
         assert!((t.total_seconds - 4.0).abs() < 1e-12);
     }
 
@@ -716,7 +596,7 @@ mod tests {
                 messages: vec![],
             },
         ];
-        let t = assert_identical(&steps, &machine(), SyncMode::NeighborSync);
+        let t = run(&steps, &machine(), SyncMode::NeighborSync);
         // message arrives at 2 + 1.5 = 3.5; rank1 starts step1 at 3.5,
         // finishes at 3.6. rank0 finishes at 2.1.
         assert!((t.rank_finish[1] - 3.6).abs() < 1e-12);
@@ -738,7 +618,7 @@ mod tests {
             };
             4
         ];
-        let t = assert_identical(&steps, &machine(), SyncMode::NeighborSync);
+        let t = run(&steps, &machine(), SyncMode::NeighborSync);
         // rank0: 4 × 0.1 = 0.4 total, unaffected by rank1
         assert!(
             (t.rank_finish[0] - 0.4).abs() < 1e-12,
@@ -770,8 +650,8 @@ mod tests {
                 messages: vec![],
             },
         ];
-        let b = assert_identical(&steps, &machine(), SyncMode::BulkSynchronous);
-        let n = assert_identical(&steps, &machine(), SyncMode::NeighborSync);
+        let b = run(&steps, &machine(), SyncMode::BulkSynchronous);
+        let n = run(&steps, &machine(), SyncMode::NeighborSync);
         assert!(b.total_seconds >= n.total_seconds - 1e-12);
     }
 
@@ -780,7 +660,7 @@ mod tests {
         let steps = steps_uniform(2, 2, 1.0);
         let mut m = machine();
         m.compute_scale = 3.0;
-        let t = assert_identical(&steps, &m, SyncMode::BulkSynchronous);
+        let t = run(&steps, &m, SyncMode::BulkSynchronous);
         assert!((t.total_seconds - 6.0).abs() < 1e-12);
     }
 
@@ -883,7 +763,7 @@ mod tests {
             };
             3
         ];
-        let t = assert_identical(&steps, &machine(), SyncMode::BulkSynchronous);
+        let t = run(&steps, &machine(), SyncMode::BulkSynchronous);
         assert!((t.total_seconds - 30.0).abs() < 1e-9);
         assert!(t.mean_idle_fraction() > 0.6, "{}", t.mean_idle_fraction());
     }
@@ -894,11 +774,11 @@ mod tests {
         let mut m = machine();
         m.collective_latency = 0.5;
         // 4 ranks → ceil(log2 4) = 2 stages → 1.0 s per barrier, 3 barriers
-        let with = assert_identical(&steps, &m, SyncMode::BulkSynchronous);
-        let without = assert_identical(&steps, &machine(), SyncMode::BulkSynchronous);
+        let with = run(&steps, &m, SyncMode::BulkSynchronous);
+        let without = run(&steps, &machine(), SyncMode::BulkSynchronous);
         assert!((with.total_seconds - (without.total_seconds + 3.0)).abs() < 1e-12);
         // neighbor sync pays no barriers
-        let n = assert_identical(&steps, &m, SyncMode::NeighborSync);
+        let n = run(&steps, &m, SyncMode::NeighborSync);
         assert!((n.total_seconds - without.total_seconds).abs() < 1e-12);
     }
 
@@ -921,8 +801,8 @@ mod tests {
         let mut m = machine();
         m.topology = Topology::Torus3D { x: 2, y: 2, z: 2 };
         // rank 7 = (1,1,1): 3 hops from rank 0; rank 1: 1 hop
-        let near = assert_identical(&mk(1), &m, SyncMode::BulkSynchronous);
-        let far = assert_identical(&mk(7), &m, SyncMode::BulkSynchronous);
+        let near = run(&mk(1), &m, SyncMode::BulkSynchronous);
+        let far = run(&mk(7), &m, SyncMode::BulkSynchronous);
         assert!(
             (far.total_seconds - near.total_seconds - 2.0 * m.link_latency).abs() < 1e-12,
             "far {} near {}",
@@ -946,38 +826,11 @@ mod tests {
             },
         ];
         for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
-            assert_identical(&steps, &machine(), mode);
+            run(&steps, &machine(), mode);
         }
         let t = simulate(&steps, &machine(), SyncMode::NeighborSync).unwrap();
         // step0 ready at max(1.0, 1.0 + 1.5) = 2.5; finish = 2.5 + 1.0
         assert!((t.total_seconds - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn engines_agree_on_irregular_schedule() {
-        // a gnarly mix: ties, zero compute, self-messages, fan-in/fan-out,
-        // collective latency, torus topology
-        use crate::topology::Topology;
-        let mut m = machine();
-        m.collective_latency = 0.25;
-        m.topology = Topology::Torus3D { x: 2, y: 2, z: 2 };
-        let steps = vec![
-            StepWorkload {
-                compute_seconds: vec![1.0, 1.0, 0.0, 2.5, 1.0, 1.0, 0.5, 3.0],
-                messages: vec![(0, 1, 10), (0, 7, 5), (3, 3, 1), (7, 0, 100), (2, 4, 0)],
-            },
-            StepWorkload {
-                compute_seconds: vec![0.0; 8],
-                messages: vec![(1, 2, 7), (2, 1, 7), (5, 6, 9), (6, 5, 9)],
-            },
-            StepWorkload {
-                compute_seconds: vec![2.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
-                messages: vec![(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 0, 1)],
-            },
-        ];
-        for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
-            assert_identical(&steps, &m, mode);
-        }
     }
 
     #[test]
@@ -990,26 +843,17 @@ mod tests {
             };
             50
         ];
-        let (t, stats) = simulate_with_stats(
-            &steps,
-            &machine(),
-            SyncMode::NeighborSync,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let (t, stats) =
+            simulate_with_stats(&steps, &machine(), SyncMode::NeighborSync, EngineConfig).unwrap();
         assert_eq!(stats.queue, "calendar");
         assert!(!stats.barrier_fast_path);
         assert!(stats.peak_window_steps <= 3, "{}", stats.peak_window_steps);
         assert!(stats.peak_queue_len <= 4, "{}", stats.peak_queue_len);
         assert_eq!(t.events_processed, 2 * 50 + 100);
         // fast path reports no queue at all
-        let (_, stats) = simulate_with_stats(
-            &steps,
-            &machine(),
-            SyncMode::BulkSynchronous,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let (_, stats) =
+            simulate_with_stats(&steps, &machine(), SyncMode::BulkSynchronous, EngineConfig)
+                .unwrap();
         assert_eq!(stats.queue, "none");
         assert!(stats.barrier_fast_path);
         assert_eq!(stats.peak_queue_len, 0);

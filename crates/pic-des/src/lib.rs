@@ -24,14 +24,12 @@
 pub mod engine;
 pub mod machine;
 pub mod queue;
-pub mod reference;
 pub mod topology;
 
 pub use engine::{
-    simulate, simulate_with, simulate_with_stats, EngineConfig, QueueKind, SimStats, SimTimeline,
+    simulate, simulate_with_stats, validate_schedule, EngineConfig, SimStats, SimTimeline,
     StepWorkload, SyncMode,
 };
 pub use machine::MachineSpec;
-pub use queue::{CalendarQueue, Event, EventKind, EventQueue, HeapQueue};
-pub use reference::{dense_state_bytes, simulate_reference};
+pub use queue::{CalendarQueue, Event, EventKind};
 pub use topology::Topology;

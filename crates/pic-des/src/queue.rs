@@ -1,8 +1,6 @@
-//! Simulation events and the pluggable event queues behind the engine.
+//! Simulation events and the calendar queue behind the engine.
 //!
-//! The engine is generic over [`EventQueue`] so the classic
-//! `BinaryHeap` stays available as an oracle while the default
-//! implementation is a **calendar queue**: events are hashed into
+//! The engine's one event queue is a **calendar queue**: events are hashed into
 //! time-width buckets, the current bucket is drained in exact
 //! `(time, seq)` order, and both push and pop are O(1) amortized instead
 //! of the heap's O(log n). The queue exploits the DES *monotonicity*
@@ -11,7 +9,7 @@
 //! validated non-negative at admission) — so the calendar never needs to
 //! look behind its current bucket.
 //!
-//! Ordering is bit-for-bit the heap's: the total order is
+//! Ordering is bit-for-bit a `BinaryHeap<Event>`'s: the total order is
 //! `(time, seq)`, ties on `time` broken by the monotonically assigned
 //! sequence number, which also makes equal-time events FIFO. Bucket
 //! boundaries cannot reorder events because the time→bucket mapping is
@@ -20,7 +18,6 @@
 //! later one.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// What a scheduled event does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +29,9 @@ pub enum EventKind {
         /// The step whose compute finished.
         step: u32,
     },
-    /// A point-to-point message arrived at a rank. Only the reference
-    /// engine schedules these; the windowed engine folds deliveries into
+    /// A point-to-point message arrived at a rank. Only the dense
+    /// reference engine (in the dev-only `pic-oracle` crate) schedules
+    /// these; the windowed engine folds deliveries into
     /// the sender's `ComputeDone` (see `DESIGN.md` §16 for why that is
     /// output-equivalent).
     MsgArrive {
@@ -87,58 +85,12 @@ impl Ord for Event {
     }
 }
 
-/// A pending-event set that yields events in exact `(time, seq)` order.
-pub trait EventQueue {
-    /// Schedule an event. Callers uphold the monotonicity contract:
-    /// `ev.time` is never below the time of the last popped event.
-    fn push(&mut self, ev: Event);
-    /// Remove and return the earliest pending event.
-    fn pop(&mut self) -> Option<Event>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Short implementation name for reports (`"binary-heap"`,
-    /// `"calendar"`).
-    fn name(&self) -> &'static str;
-}
-
-/// The classic `BinaryHeap` event queue — the ordering oracle the
-/// calendar queue is tested and benchmarked against.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Event>,
-}
-
-impl HeapQueue {
-    /// An empty heap queue.
-    pub fn new() -> HeapQueue {
-        HeapQueue::default()
-    }
-}
-
-impl EventQueue for HeapQueue {
-    fn push(&mut self, ev: Event) {
-        self.heap.push(ev);
-    }
-    fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
-    }
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-    fn name(&self) -> &'static str {
-        "binary-heap"
-    }
-}
-
 /// Smallest and largest bucket counts the calendar will calibrate to.
 const MIN_BUCKETS: usize = 64;
 const MAX_BUCKETS: usize = 1 << 17;
 
-/// A monotone calendar queue: O(1) amortized push/pop for DES workloads.
+/// A monotone calendar queue: O(1) amortized push/pop for DES workloads,
+/// yielding events in exact `(time, seq)` order.
 ///
 /// Events are mapped to buckets by `floor((time - base) / width)` relative
 /// to the bucket currently being drained; events beyond one full rotation
@@ -283,10 +235,10 @@ impl CalendarQueue {
         self.overflow = keep;
         self.overflow_min = min_keep;
     }
-}
 
-impl EventQueue for CalendarQueue {
-    fn push(&mut self, ev: Event) {
+    /// Schedule an event. Callers uphold the monotonicity contract:
+    /// `ev.time` is never below the time of the last popped event.
+    pub fn push(&mut self, ev: Event) {
         debug_assert!(ev.time.is_finite(), "event times are finite");
         if !self.calibrated {
             // Pre-calibration (before the first pop): just accumulate.
@@ -301,7 +253,8 @@ impl EventQueue for CalendarQueue {
         self.peak_len = self.peak_len.max(self.len());
     }
 
-    fn pop(&mut self) -> Option<Event> {
+    /// Remove and return the earliest pending event.
+    pub fn pop(&mut self) -> Option<Event> {
         if !self.calibrated {
             self.recalibrate(None);
         }
@@ -337,12 +290,14 @@ impl EventQueue for CalendarQueue {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.in_window + self.overflow.len()
     }
 
-    fn name(&self) -> &'static str {
-        "calendar"
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -350,6 +305,7 @@ impl EventQueue for CalendarQueue {
 mod tests {
     use super::*;
     use pic_types::rng::SplitMix64;
+    use std::collections::BinaryHeap;
 
     fn ev(time: f64, seq: u64) -> Event {
         Event {
@@ -364,7 +320,7 @@ mod tests {
     fn duel(script_seed: u64, ops: usize, time_scale: f64) {
         let mut rng = SplitMix64::new(script_seed);
         let mut cal = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
+        let mut heap = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0.0f64;
         // Seed population before the first pop, like the engine does.
@@ -446,7 +402,7 @@ mod tests {
     #[test]
     fn growth_resize_preserves_order() {
         let mut q = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
+        let mut heap = BinaryHeap::new();
         // calibrate small, then push far more than 8 events per bucket
         q.push(ev(0.0, 0));
         heap.push(ev(0.0, 0));
@@ -469,7 +425,5 @@ mod tests {
         let mut q = CalendarQueue::new();
         assert!(q.pop().is_none());
         assert_eq!(q.len(), 0);
-        assert_eq!(q.name(), "calendar");
-        assert_eq!(HeapQueue::new().name(), "binary-heap");
     }
 }

@@ -1,10 +1,8 @@
 //! Property-based tests: discrete-event simulation invariants over random
 //! PIC-shaped schedules.
 
-use pic_des::{
-    simulate, simulate_reference, simulate_with, EngineConfig, MachineSpec, QueueKind,
-    StepWorkload, SyncMode,
-};
+use pic_des::{simulate, MachineSpec, StepWorkload, SyncMode};
+use pic_oracle::simulate_reference;
 use proptest::prelude::*;
 
 fn machine() -> MachineSpec {
@@ -160,35 +158,18 @@ proptest! {
     }
 }
 
-/// Run every engine variant and require exact `SimTimeline` equality with
-/// the dense-heap oracle: calendar queue, heap queue, and (in barrier
-/// mode) the batched fast path all share the `(time, seq)` total order.
+/// Require exact `SimTimeline` equality between the production engine
+/// (windowed calendar queue in NeighborSync, barrier fast path in
+/// BulkSynchronous) and the dense-heap oracle: both share the `(time, seq)`
+/// total order.
 fn assert_engines_identical(
     sched: &[StepWorkload],
     m: &MachineSpec,
     mode: SyncMode,
 ) -> std::result::Result<(), TestCaseError> {
     let oracle = simulate_reference(sched, m, mode).unwrap();
-    for (name, cfg) in [
-        (
-            "windowed+heap",
-            EngineConfig {
-                queue: QueueKind::BinaryHeap,
-                barrier_fast_path: false,
-            },
-        ),
-        (
-            "windowed+calendar",
-            EngineConfig {
-                queue: QueueKind::Calendar,
-                barrier_fast_path: false,
-            },
-        ),
-        ("default", EngineConfig::default()),
-    ] {
-        let t = simulate_with(sched, m, mode, cfg).unwrap();
-        prop_assert_eq!(&t, &oracle, "{} diverged from oracle in {:?}", name, mode);
-    }
+    let t = simulate(sched, m, mode).unwrap();
+    prop_assert_eq!(&t, &oracle, "engine diverged from oracle in {:?}", mode);
     Ok(())
 }
 

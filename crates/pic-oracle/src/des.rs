@@ -1,17 +1,17 @@
-//! The original dense `BinaryHeap` engine, kept as the oracle.
+//! The original dense `BinaryHeap` DES engine, kept as the oracle.
 //!
 //! This is the pre-windowing simulator: a flat binary heap over *all*
 //! pending events (one `MsgArrive` per message) and dense
 //! `[step][rank]` bookkeeping. It is O(steps·ranks) in memory and
-//! O(E log E) in time, which is exactly why the windowed engine in
-//! [`crate::engine`] replaced it — but its simplicity makes it the
-//! ground truth: `des_bench --smoke`, the proptests, and CI all assert
-//! **exact** [`SimTimeline`] equality between this engine and the
-//! production one on every configuration they run.
+//! O(E log E) in time, which is exactly why `pic-des`'s windowed engine
+//! and barrier fast path replaced it — but its simplicity makes it the
+//! ground truth: `des_bench --smoke` and the `pic-des` integration tests
+//! assert **exact** [`SimTimeline`] equality between this engine and
+//! [`pic_des::simulate`] on every configuration they run.
 
-use crate::engine::{empty_timeline, validate_schedule, SimTimeline, StepWorkload, SyncMode};
-use crate::machine::MachineSpec;
-use crate::queue::{Event, EventKind};
+use pic_des::{
+    validate_schedule, Event, EventKind, MachineSpec, SimTimeline, StepWorkload, SyncMode,
+};
 use pic_types::Result;
 use std::collections::BinaryHeap;
 
@@ -135,7 +135,7 @@ pub fn dense_state_bytes(ranks: usize, steps: usize, messages: usize) -> usize {
 
 /// Simulate with the original dense heap engine (the oracle).
 ///
-/// Same contract as [`crate::simulate`]; the two must return bit-identical
+/// Same contract as [`pic_des::simulate`]; the two must return bit-identical
 /// [`SimTimeline`]s for every valid input.
 pub fn simulate_reference(
     steps: &[StepWorkload],
@@ -144,7 +144,7 @@ pub fn simulate_reference(
 ) -> Result<SimTimeline> {
     machine.validate()?;
     if steps.is_empty() {
-        return Ok(empty_timeline());
+        return Ok(SimTimeline::default());
     }
     let ranks = validate_schedule(steps)?;
 

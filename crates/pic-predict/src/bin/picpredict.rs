@@ -816,7 +816,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
         let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
         let particles = reader.meta().particle_count as u64;
         let mesh = parse_mesh(flags, reader.meta().domain)?;
-        let w = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
+        let (w, _) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
         (w, None, particles)
     } else {
         let trace = load_trace(trace_path)?;

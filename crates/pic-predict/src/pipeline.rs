@@ -109,8 +109,8 @@ pub fn predict_application(
 /// `picpredict predict` JSON and the serve `/predict` response.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct DesRunStats {
-    /// Event-queue implementation (`"calendar"`, `"binary-heap"`, or
-    /// `"none"` when the barrier fast path ran).
+    /// Event-queue implementation (`"calendar"`, or `"none"` when the
+    /// barrier fast path ran).
     pub queue: &'static str,
     /// Whether the bulk-synchronous batched fast path evaluated the run.
     pub barrier_fast_path: bool,
@@ -129,7 +129,7 @@ pub fn predict_application_with_stats(
 ) -> Result<(SimTimeline, DesRunStats)> {
     let start = std::time::Instant::now();
     let (timeline, stats) =
-        pic_des::simulate_with_stats(schedule, machine, mode, pic_des::EngineConfig::default())?;
+        pic_des::simulate_with_stats(schedule, machine, mode, pic_des::EngineConfig)?;
     let wall_seconds = start.elapsed().as_secs_f64();
     let run = DesRunStats {
         queue: stats.queue,

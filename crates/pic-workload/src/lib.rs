@@ -20,6 +20,11 @@
 //! studies. Sample processing is embarrassingly parallel and runs on all
 //! cores via rayon.
 //!
+//! Every replay entry point — [`generator::generate`], streaming,
+//! reduced, and the multi-configuration sweeps — is a front-end over the
+//! one engine in [`sweep`]. The reference implementations they are tested
+//! against live in the dev-only `pic-oracle` crate.
+//!
 //! The [`reduce`] module adds SimPoint-style reduced replay: given a
 //! [`reduce::ReductionPlan`] (cluster representatives + per-sample
 //! assignment), [`reduce::generate_reduced`] replays only the
@@ -38,16 +43,14 @@ pub mod reduce;
 pub mod soa;
 pub mod sweep;
 
-pub use generator::{
-    generate_streaming, generate_streaming_with_stats, DynamicWorkload, IngestStats, WorkloadConfig,
-};
+pub use generator::{generate_streaming_with_stats, DynamicWorkload, WorkloadConfig};
 pub use matrices::{migration_pairs, CommMatrix, CompMatrix};
 pub use reduce::{
     generate_reduced, generate_reduced_with_stats, peak_load_series, peak_rel_error, sweep_reduced,
-    sweep_reduced_with_stats, ReduceStats, ReductionPlan,
+    ReduceStats, ReductionPlan,
 };
 pub use soa::SoAPositions;
 pub use sweep::{
-    mesh_fingerprint, sweep_configs, sweep_streaming, sweep_with_cache, sweep_with_stats,
-    AssignmentCache, AssignmentCacheStats, AssignmentKey, SampleAssignment, SweepPoint, SweepStats,
+    mesh_fingerprint, sweep_streaming, sweep_with_cache, sweep_with_stats, AssignmentCache,
+    AssignmentCacheStats, AssignmentKey, IngestStats, SampleAssignment, SweepPoint, SweepStats,
 };

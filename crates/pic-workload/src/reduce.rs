@@ -8,12 +8,13 @@
 //! fraction of the replay cost — the paper-scale regime where a trace has
 //! thousands of samples but only a few distinct spatial regimes.
 //!
-//! The contract, enforced by proptests: with `K = T` (every sample its own
-//! representative) the reconstruction is **bit-identical** to
-//! [`generator::generate_reference`] — the reduced path reuses the exact
-//! per-sample kernel (`generator::process_sample`), so the only error a
-//! real reduction introduces is the phase approximation itself, which the
-//! `pic-analysis` error-budget gate measures on holdout samples.
+//! Reduced replay is a sweep over the plan's representative samples: it
+//! runs the sweep engine's group kernel on each representative and its
+//! in-order accumulator over the full series. The contract, enforced by
+//! proptests: with `K = T` (every sample its own representative) the
+//! reconstruction is **bit-identical** to the full replay, so the only
+//! error a real reduction introduces is the phase approximation itself,
+//! which the `pic-analysis` error-budget gate measures on holdout samples.
 //!
 //! Communication is reconstructed per representative from its *immediate
 //! predecessor* in the trace: `comm[r] = migration_pairs(owners[s_r − 1],
@@ -21,11 +22,11 @@
 //! sweep members the same one-step migration stands in for the strided
 //! interval — a documented approximation, exact at stride 1 and `K = T`.
 
-use crate::generator::{self, DynamicWorkload, WorkloadConfig};
-use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
+use crate::generator::{DynamicWorkload, WorkloadConfig};
+use crate::matrices::migration_pairs;
+use crate::soa::SoAPositions;
 use crate::sweep::{self, SweepPoint};
 use pic_grid::ElementMesh;
-use pic_mapping::ParticleMapper;
 use pic_trace::ParticleTrace;
 use pic_types::{PicError, Rank, Result};
 use rayon::prelude::*;
@@ -207,19 +208,6 @@ impl ReduceStats {
     }
 }
 
-/// Ownership snapshot of one sample: the assignment half of the kernel
-/// only (no ghost counting, no histogramming) — what a predecessor
-/// contributes to the migration diff.
-fn owners_only(positions: &[pic_types::Vec3], mapper: &dyn ParticleMapper) -> Vec<Rank> {
-    let soa = crate::soa::SoAPositions::from_positions(positions);
-    let outcome = if mapper.supports_soa() {
-        mapper.assign_soa(soa.xs(), soa.ys(), soa.zs())
-    } else {
-        mapper.assign(positions)
-    };
-    outcome.ranks
-}
-
 /// [`generate_reduced`], additionally returning the replay accounting.
 pub fn generate_reduced_with_stats(
     trace: &ParticleTrace,
@@ -227,102 +215,21 @@ pub fn generate_reduced_with_stats(
     mesh: Option<&ElementMesh>,
     plan: &ReductionPlan,
 ) -> Result<(DynamicWorkload, ReduceStats)> {
-    plan.validate()?;
-    if plan.total_samples != trace.sample_count() {
-        return Err(PicError::config(format!(
-            "reduction plan covers {} samples, trace has {}",
-            plan.total_samples,
-            trace.sample_count()
-        )));
-    }
-    let mapper = generator::build_mapper(cfg, mesh)?;
-    let mapper_ref: &dyn ParticleMapper = mapper.as_ref();
-
-    // Full kernel on the representatives, in parallel.
-    let outcomes: Vec<generator::SampleOutcome> = pic_types::pool::install(|| {
-        plan.representatives
-            .par_iter()
-            .map(|&s| generator::process_sample(trace.positions_at(s), mapper_ref, cfg))
-            .collect()
-    });
-
-    // Assignment-only passes for predecessors that are not representatives.
-    let preds = plan.owner_only_predecessors();
-    let pred_owners: Vec<Vec<Rank>> = pic_types::pool::install(|| {
-        preds
-            .par_iter()
-            .map(|&s| owners_only(trace.positions_at(s), mapper_ref))
-            .collect()
-    });
-    let pred_map: HashMap<usize, &Vec<Rank>> = preds.iter().copied().zip(&pred_owners).collect();
-    let rep_slot: HashMap<usize, usize> = plan
-        .representatives
-        .iter()
-        .enumerate()
-        .map(|(slot, &s)| (s, slot))
-        .collect();
-
-    // Per-representative migration diff against its immediate predecessor.
-    let comm_rep: Vec<Vec<(u32, u32, u32)>> = plan
-        .representatives
-        .iter()
-        .enumerate()
-        .map(|(slot, &s)| match s.checked_sub(1) {
-            None => Vec::new(),
-            Some(p) => {
-                let prev = match rep_slot.get(&p) {
-                    Some(&ps) => &outcomes[ps].owners,
-                    None => pred_map[&p],
-                };
-                migration_pairs(prev, &outcomes[slot].owners)
-            }
-        })
-        .collect();
-
-    // Broadcast representative outcomes over the full series.
-    let mut real = CompMatrix::new(cfg.ranks);
-    let mut ghost_recv = CompMatrix::new(cfg.ranks);
-    let mut ghost_sent = CompMatrix::new(cfg.ranks);
-    let mut bin_counts = Vec::with_capacity(plan.total_samples);
-    let mut comm_entries = Vec::with_capacity(plan.total_samples);
-    for (t, &r) in plan.assignment.iter().enumerate() {
-        let o = &outcomes[r];
-        real.push_sample(&o.real);
-        ghost_recv.push_sample(&o.ghost_recv);
-        ghost_sent.push_sample(&o.ghost_sent);
-        bin_counts.push(o.bin_count);
-        comm_entries.push(if t == 0 {
-            Vec::new()
-        } else {
-            comm_rep[r].clone()
-        });
-    }
-    let stats = ReduceStats {
-        total_samples: plan.total_samples,
-        representatives: plan.representatives.len(),
-        owner_only_samples: preds.len(),
-    };
+    let (mut workloads, stats) =
+        replay_reduced(trace, &[SweepPoint::new(cfg.clone())], mesh, plan)?;
     Ok((
-        DynamicWorkload {
-            ranks: cfg.ranks,
-            iterations: trace.iterations(),
-            real,
-            ghost_recv,
-            ghost_sent,
-            comm: CommMatrix {
-                entries: comm_entries,
-            },
-            bin_counts,
-        },
+        workloads
+            .pop()
+            .expect("one sweep point yields one workload"),
         stats,
     ))
 }
 
-/// Reduced-replay counterpart of [`generator::generate`]: replay only the
-/// plan's representatives (plus assignment-only predecessor passes for
-/// communication) and reconstruct the full `T`-sample workload by cluster
-/// broadcast. Bit-identical to the full replay under
-/// [`ReductionPlan::identity`].
+/// Reduced-replay counterpart of [`crate::generator::generate`]: replay
+/// only the plan's representatives (plus assignment-only predecessor
+/// passes for communication) and reconstruct the full `T`-sample workload
+/// by cluster broadcast. A one-point [`sweep_reduced`]; bit-identical to
+/// the full replay under [`ReductionPlan::identity`].
 pub fn generate_reduced(
     trace: &ParticleTrace,
     cfg: &WorkloadConfig,
@@ -332,9 +239,24 @@ pub fn generate_reduced(
     generate_reduced_with_stats(trace, cfg, mesh, plan).map(|(w, _)| w)
 }
 
-/// [`sweep_reduced`], additionally returning the replay accounting
-/// (summed across assignment groups).
-pub fn sweep_reduced_with_stats(
+/// Reduced-replay counterpart of [`sweep::sweep`]: one representative
+/// replay per assignment group serves every sweep point of that group,
+/// with per-point strided reconstruction. At stride 1 under the identity
+/// plan the output is bit-identical to [`sweep::sweep`].
+pub fn sweep_reduced(
+    trace: &ParticleTrace,
+    points: &[SweepPoint],
+    mesh: Option<&ElementMesh>,
+    plan: &ReductionPlan,
+) -> Result<Vec<DynamicWorkload>> {
+    replay_reduced(trace, points, mesh, plan).map(|(w, _)| w)
+}
+
+/// The reduced driver: the group kernel on every (group, representative),
+/// the assignment half on every (group, owner-only predecessor), then the
+/// accumulator per member with broadcast outcomes. Replay accounting is
+/// summed across assignment groups.
+fn replay_reduced(
     trace: &ParticleTrace,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
@@ -349,34 +271,26 @@ pub fn sweep_reduced_with_stats(
         )));
     }
     let sweep_plan = sweep::build_plan(points, mesh)?;
-    let k = plan.k();
-    let groups = sweep_plan.groups.len();
+    let groups = &sweep_plan.groups;
+    let (k, preds) = (plan.k(), plan.owner_only_predecessors());
 
-    // Full group kernel (assignment + every ghost radius slot) on the
-    // representatives of every group, flattened for parallelism.
-    let outcomes: Vec<sweep::GroupSampleOutcome> = pic_types::pool::install(|| {
-        (0..groups * k)
-            .into_par_iter()
-            .map(|i| {
-                let (g, r) = (i / k.max(1), i % k.max(1));
-                sweep::process_group_sample(
-                    trace.positions_at(plan.representatives[r]),
-                    &sweep_plan.groups[g],
-                )
-            })
-            .collect()
-    });
-
-    let preds = plan.owner_only_predecessors();
+    let outcomes: Vec<(sweep::SampleAssignment, sweep::GhostSlots)> =
+        pic_types::pool::install(|| {
+            (0..groups.len() * k)
+                .into_par_iter()
+                .map(|i| {
+                    let positions = trace.positions_at(plan.representatives[i % k]);
+                    sweep::process_group_sample(positions, &groups[i / k], false)
+                })
+                .collect()
+        });
     let pred_owners: Vec<Vec<Rank>> = pic_types::pool::install(|| {
-        (0..groups * preds.len())
+        (0..groups.len() * preds.len())
             .into_par_iter()
             .map(|i| {
-                let (g, p) = (i / preds.len().max(1), i % preds.len().max(1));
-                owners_only(
-                    trace.positions_at(preds[p]),
-                    sweep_plan.groups[g].mapper.as_ref(),
-                )
+                let positions = trace.positions_at(preds[i % preds.len()]);
+                let soa = SoAPositions::from_positions(positions);
+                sweep::assign(positions, &soa, &groups[i / preds.len()]).ranks
             })
             .collect()
     });
@@ -388,7 +302,9 @@ pub fn sweep_reduced_with_stats(
         .map(|(slot, &s)| (s, slot))
         .collect();
 
-    let comm_rep: Vec<Vec<Vec<(u32, u32, u32)>>> = (0..groups)
+    // Per (group, representative): the migration diff against the
+    // representative's immediate predecessor in the trace.
+    let comm_rep: Vec<Vec<Vec<(u32, u32, u32)>>> = (0..groups.len())
         .map(|g| {
             let span = &outcomes[g * k..(g + 1) * k];
             plan.representatives
@@ -398,10 +314,10 @@ pub fn sweep_reduced_with_stats(
                     None => Vec::new(),
                     Some(p) => {
                         let prev = match rep_slot.get(&p) {
-                            Some(&ps) => &span[ps].assignment.owners,
+                            Some(&ps) => &span[ps].0.owners,
                             None => &pred_owners[g * preds.len() + pred_pos[&p]],
                         };
-                        migration_pairs(prev, &span[slot].assignment.owners)
+                        migration_pairs(prev, &span[slot].0.owners)
                     }
                 })
                 .collect()
@@ -409,76 +325,31 @@ pub fn sweep_reduced_with_stats(
         .collect();
 
     let iterations = trace.iterations();
-    let workloads: Vec<DynamicWorkload> = sweep_plan
+    let workloads = sweep_plan
         .members
         .iter()
         .map(|m| {
-            let group = &sweep_plan.groups[m.group];
             let span = &outcomes[m.group * k..(m.group + 1) * k];
-            let zeros = vec![0u32; group.ranks];
-            let retained: Vec<usize> = (0..plan.total_samples).step_by(m.stride).collect();
-            let mut real = CompMatrix::new(group.ranks);
-            let mut ghost_recv = CompMatrix::new(group.ranks);
-            let mut ghost_sent = CompMatrix::new(group.ranks);
-            let mut bin_counts = Vec::with_capacity(retained.len());
-            let mut iters = Vec::with_capacity(retained.len());
-            let mut comm_entries = Vec::with_capacity(retained.len());
-            for (pos, &t) in retained.iter().enumerate() {
+            let mut acc = sweep::Accumulator::new(m, groups[m.group].ranks);
+            for (pos, t) in (0..plan.total_samples).step_by(m.stride).enumerate() {
                 let r = plan.assignment[t];
-                let o = &span[r];
-                real.push_sample(&o.assignment.real);
-                match m.ghost_slot {
-                    Some(slot) => {
-                        ghost_recv.push_sample(&o.ghosts[slot].0);
-                        ghost_sent.push_sample(&o.ghosts[slot].1);
-                    }
-                    None => {
-                        ghost_recv.push_sample(&zeros);
-                        ghost_sent.push_sample(&zeros);
-                    }
-                }
-                bin_counts.push(o.assignment.bin_count);
-                iters.push(iterations[t]);
                 // One-step migration proxy: exact at stride 1; for larger
                 // strides it stands in for the strided interval.
-                comm_entries.push(if pos == 0 {
-                    Vec::new()
-                } else {
-                    comm_rep[m.group][r].clone()
-                });
+                let comm = match pos {
+                    0 => Vec::new(),
+                    _ => comm_rep[m.group][r].clone(),
+                };
+                acc.push_with_comm(iterations[t], &span[r].0, &span[r].1, comm);
             }
-            DynamicWorkload {
-                ranks: group.ranks,
-                iterations: iters,
-                real,
-                ghost_recv,
-                ghost_sent,
-                comm: CommMatrix {
-                    entries: comm_entries,
-                },
-                bin_counts,
-            }
+            acc.workload
         })
         .collect();
     let stats = ReduceStats {
         total_samples: plan.total_samples,
-        representatives: groups * k,
-        owner_only_samples: groups * preds.len(),
+        representatives: groups.len() * k,
+        owner_only_samples: groups.len() * preds.len(),
     };
     Ok((workloads, stats))
-}
-
-/// Reduced-replay counterpart of [`sweep::sweep`]: one representative
-/// replay per assignment group serves every sweep point of that group,
-/// with per-point strided reconstruction. At stride 1 under the identity
-/// plan the output is bit-identical to [`sweep::sweep`].
-pub fn sweep_reduced(
-    trace: &ParticleTrace,
-    points: &[SweepPoint],
-    mesh: Option<&ElementMesh>,
-    plan: &ReductionPlan,
-) -> Result<Vec<DynamicWorkload>> {
-    sweep_reduced_with_stats(trace, points, mesh, plan).map(|(w, _)| w)
 }
 
 /// Per-sample peak load: the maximum over ranks of real + received-ghost
@@ -511,8 +382,8 @@ pub fn peak_rel_error(predicted: &DynamicWorkload, actual: &DynamicWorkload) -> 
 }
 
 /// Exact per-rank loads (real + received ghosts) of selected samples,
-/// replayed through the full per-sample kernel. The holdout side of the
-/// `pic-analysis` error-budget gate: compare these against the reduced
+/// replayed through the sweep engine's group kernel. The holdout side of
+/// the `pic-analysis` error-budget gate: compare these against the reduced
 /// prediction without paying for a full-trace replay.
 pub fn exact_sample_loads(
     trace: &ParticleTrace,
@@ -528,17 +399,16 @@ pub fn exact_sample_loads(
             )));
         }
     }
-    let mapper = generator::build_mapper(cfg, mesh)?;
-    let mapper_ref: &dyn ParticleMapper = mapper.as_ref();
+    let plan = sweep::build_plan(&[SweepPoint::new(cfg.clone())], mesh)?;
+    let (group, slot) = (&plan.groups[0], plan.members[0].ghost_slot);
     Ok(pic_types::pool::install(|| {
         samples
             .par_iter()
             .map(|&s| {
-                let o = generator::process_sample(trace.positions_at(s), mapper_ref, cfg);
-                o.real
-                    .iter()
-                    .zip(&o.ghost_recv)
-                    .map(|(&r, &g)| r as u64 + g as u64)
+                let (a, ghosts) = sweep::process_group_sample(trace.positions_at(s), group, false);
+                let recv = slot.map(|k| &ghosts[k].0);
+                (0..a.real.len())
+                    .map(|r| a.real[r] as u64 + recv.map_or(0, |g| g[r] as u64))
                     .collect()
             })
             .collect()
@@ -584,7 +454,7 @@ mod tests {
         let cfg = WorkloadConfig::new(12, MappingAlgorithm::BinBased, 0.05);
         let plan = ReductionPlan::identity(tr.sample_count());
         let (reduced, stats) = generate_reduced_with_stats(&tr, &cfg, None, &plan).unwrap();
-        let full = generator::generate_reference(&tr, &cfg, None).unwrap();
+        let full = crate::generator::generate_reference(&tr, &cfg, None).unwrap();
         assert_eq!(reduced, full);
         assert_eq!(stats.representatives, 6);
         assert_eq!(stats.owner_only_samples, 0);
@@ -601,7 +471,7 @@ mod tests {
         let (reduced, stats) = generate_reduced_with_stats(&tr, &cfg, None, &plan).unwrap();
         assert_eq!(reduced.samples(), 6);
         // every sample of a cluster shows its representative's counts
-        let full = generator::generate_reference(&tr, &cfg, None).unwrap();
+        let full = crate::generator::generate_reference(&tr, &cfg, None).unwrap();
         for t in [0usize, 1, 2] {
             assert_eq!(reduced.real.sample_row(t), full.real.sample_row(1));
         }
@@ -660,7 +530,7 @@ mod tests {
     fn peak_series_and_error_metrics() {
         let tr = make_trace(400, 5, 5);
         let cfg = WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05);
-        let full = generator::generate_reference(&tr, &cfg, None).unwrap();
+        let full = crate::generator::generate_reference(&tr, &cfg, None).unwrap();
         let series = peak_load_series(&full);
         assert_eq!(series.len(), 5);
         assert!(series.iter().all(|&p| p > 0));

@@ -23,16 +23,15 @@
 //!    per-worker histograms ([`pic_types::CachePadded`], capacities rounded
 //!    to line multiples) merged by commutative `u32` addition.
 //!
-//! Outputs are **bit-identical** to the scalar kernels and to the
-//! sequential `generate_reference` oracle: every particle sees exactly the
-//! candidate set, the same `f64` clamp/distance expressions, and integer
-//! counts are order-independent. Particles whose query key is `None`
+//! Outputs are **bit-identical** to the scalar kernels and the sequential
+//! replay in the dev-only `pic-oracle` crate: every particle sees exactly
+//! the candidate set, the same `f64` clamp/distance expressions, and
+//! integer counts are order-independent. Particles whose query key is `None`
 //! (empty index, NaN/out-of-bounds query boxes) are skipped exactly where
 //! the scalar kernel's early returns fire. Lane padding uses NaN
 //! coordinates, whose distance is NaN and therefore never satisfies
 //! `d² ≤ r²`, plus a home id of `u32::MAX` that belongs to no rank.
 
-use crate::generator::GHOST_CHUNK;
 use pic_mapping::{RegionIndex, RegionQueryScratch};
 use pic_types::{CachePadded, Rank, Vec3};
 use rayon::prelude::*;
@@ -41,6 +40,11 @@ use rayon::prelude::*;
 /// one AVX-512 register; on NEON the compiler splits each lane op into
 /// four 2-wide µops, which still pipelines cleanly.
 pub const LANE: usize = 8;
+
+/// Minimum particles per parallel span: large enough to amortize one
+/// scratch + two partial-histogram allocations per span, small enough
+/// that short traces still fan out across cores.
+pub(crate) const GHOST_CHUNK: usize = 2048;
 
 /// Histogram capacities are rounded up to this many `u32`s (one 64-byte
 /// cache line) so per-worker buffers never end mid-line.
@@ -303,7 +307,7 @@ fn span_bounds(len: usize, workers: usize, w: usize) -> (usize, usize) {
 }
 
 /// Worker count for a sample: the ambient thread budget, capped so spans
-/// never shrink below the scalar kernel's chunk granularity.
+/// never shrink below [`GHOST_CHUNK`] particles.
 fn workers_for(len: usize) -> usize {
     rayon::current_num_threads()
         .max(1)
@@ -313,10 +317,10 @@ fn workers_for(len: usize) -> usize {
 /// SoA ghost counting: the grouped matrix kernel across parallel spans
 /// with cache-line-padded per-worker histograms.
 ///
-/// Bit-identical to the scalar
-/// [`ghost_counts_chunked`](crate::generator::ghost_counts_chunked) (and
-/// hence to the sequential reference): identical per-particle candidate
-/// sets, identical `f64` expressions, commutative integer merges.
+/// Bit-identical to `pic-oracle`'s scalar single-radius kernel (and hence
+/// to the sequential reference) for every radius, NaN and negative
+/// included: identical per-particle candidate sets, identical `f64`
+/// expressions, commutative integer merges.
 pub fn ghost_counts_soa(
     soa: &SoAPositions,
     owners: &[Rank],
@@ -476,8 +480,8 @@ fn multi_ghost_span_soa(
 
 /// SoA multi-radius ghost counting: one candidate pass at `r_max` serves
 /// every radius in `rr` (squared radii, arbitrary order; results come back
-/// in `rr` order). Bit-identical to the scalar sweep kernel
-/// [`multi_ghost_chunked`](crate::sweep::multi_ghost_chunked).
+/// in `rr` order). Bit-identical to `pic-oracle`'s scalar multi-radius
+/// kernel.
 pub fn multi_ghost_soa(
     soa: &SoAPositions,
     owners: &[Rank],

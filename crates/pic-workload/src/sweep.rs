@@ -1,12 +1,18 @@
-//! Multi-configuration sweep engine: one trace replay, many workloads.
+//! The replay engine: one trace replay, many workloads.
+//!
+//! Every replay front-end in this crate — [`generator::generate`], the
+//! streaming and reduced paths, and the sweeps here — runs on the same
+//! three parts: the sweep plan (`build_plan`), one per-(group, sample)
+//! kernel (`process_group_sample`), and one in-order accumulator that
+//! folds sample outcomes into a [`DynamicWorkload`]. A per-configuration
+//! call is a one-point sweep.
 //!
 //! The paper's parameter studies (Figs 6, 9, 10) regenerate workload
 //! matrices across processor counts, mapping algorithms, projection-filter
-//! radii, and sampling strides. Running [`generator::generate`] per grid
-//! point repeats work the points share: the mapper construction, the
-//! per-sample particle assignment, the [`RegionIndex`] build, and — for
-//! filter sweeps — the sphere queries themselves. This module amortizes
-//! all of it:
+//! radii, and sampling strides. Evaluating each grid point on its own
+//! repeats work the points share: the mapper construction, the per-sample
+//! particle assignment, the [`RegionIndex`] build, and — for filter
+//! sweeps — the sphere queries themselves. The plan amortizes all of it:
 //!
 //! * **Grouping.** Sweep points whose assignment is provably identical are
 //!   grouped: mesh-based mappings (`element-based`, `hilbert-ordered`,
@@ -18,38 +24,39 @@
 //!   on it.
 //! * **Radius monotonicity.** Sphere–box overlap is monotone in the
 //!   radius: a region touches the radius-`r` sphere iff its squared
-//!   distance to the center is `≤ r²` — exactly the comparison
-//!   [`RegionIndex::for_each_candidate_in_sphere`] reports. One candidate
-//!   query per particle at the group's **maximum** filter radius therefore
-//!   yields, by filtering the retained distances, results bit-identical to
-//!   a dedicated query at every smaller radius. A six-filter sweep pays
-//!   for one traversal, not six.
+//!   distance to the center is `≤ r²`. One candidate query per particle at
+//!   the group's **maximum** filter radius therefore yields, by filtering
+//!   the retained distances, results bit-identical to a dedicated query at
+//!   every smaller radius. A six-filter sweep pays for one traversal, not
+//!   six.
 //! * **Strides.** A member with stride `s` consumes every `s`-th shared
 //!   sample outcome, producing exactly the workload of
-//!   `generate(&trace.subsample(s), cfg)` — the sampling-frequency study
-//!   re-uses the full-trace replay instead of re-running it per stride.
+//!   `generate(&trace.subsample(s), cfg)`.
 //!
-//! Outputs are **bit-identical** to the per-configuration
-//! [`generator::generate_with_mesh`] path (and hence to the sequential
-//! [`generator::generate_reference`] oracle); the equivalence is enforced
-//! by tests here, by the property corpus in `tests/props.rs`, and at
-//! runtime by `sweep_bench`.
+//! Outputs are **bit-identical** to the sequential
+//! [`generator::generate_reference`] oracle (re-exported by the dev-only
+//! `pic-oracle` crate); `tests/frontends.rs` checks every front-end
+//! against it, and `sweep_bench` checks at runtime.
 //!
-//! [`sweep_streaming`] drives the same plan sample-by-sample off a
-//! [`pic_trace::TraceReader`], holding one decoded frame per pipeline slot
-//! and one accumulator row-set per sweep point — memory stays bounded by
-//! one sample × configurations, never by trace length × configurations.
+//! Two drivers run the engine: the in-memory one behind [`sweep`],
+//! [`sweep_with_stats`] and [`sweep_with_cache`], and the streaming one,
+//! [`sweep_streaming`], which reads frames from a
+//! [`pic_trace::SampleSource`] and holds only a bounded number of frames
+//! in memory — one sample × configurations, never trace length ×
+//! configurations.
 
 use crate::generator::{self, DynamicWorkload, WorkloadConfig};
 use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
+use crate::soa::{self, SoAPositions};
 use pic_grid::ElementMesh;
-use pic_mapping::{MappingAlgorithm, ParticleMapper, RegionIndex, RegionQueryScratch};
+use pic_mapping::{MappingAlgorithm, MappingOutcome, ParticleMapper, RegionIndex};
 use pic_trace::ParticleTrace;
 use pic_types::sync::TrackedMutex;
 use pic_types::{Rank, Result, Vec3};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One grid point of a sweep: a generator configuration plus a sampling
@@ -105,7 +112,8 @@ pub struct SweepStats {
 /// One ghost-radius slot of a group: the radius and whether it joins the
 /// shared maximum-radius candidate pass. Radii that are not `≥ 0` (NaN or
 /// negative) stay outside the sharing argument and are evaluated through
-/// the unmodified single-radius kernel, preserving its exact semantics.
+/// the single-radius kernel [`soa::ghost_counts_soa`], the one `generate`
+/// has always used for every radius.
 pub(crate) struct GhostSlot {
     pub(crate) radius: f64,
     pub(crate) shared: bool,
@@ -154,6 +162,8 @@ fn group_key(cfg: &WorkloadConfig) -> (MappingAlgorithm, usize, Option<u64>) {
     (cfg.mapping, cfg.ranks, filter_bits)
 }
 
+/// The sweep plan: group the points by assignment identity, building
+/// each group's mapper once and collecting its distinct ghost radii.
 pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> Result<SweepPlan> {
     let mut keys: Vec<(MappingAlgorithm, usize, Option<u64>)> = Vec::new();
     let mut groups: Vec<GroupPlan> = Vec::new();
@@ -218,7 +228,9 @@ pub struct SampleAssignment {
     pub(crate) real: Vec<u32>,
     pub(crate) bin_count: Option<usize>,
     pub(crate) owners: Vec<Rank>,
-    pub(crate) index: RegionIndex,
+    /// Present in every cached artifact; dropped after the ghost phase
+    /// when nothing will query it again.
+    pub(crate) index: Option<RegionIndex>,
 }
 
 impl SampleAssignment {
@@ -227,302 +239,157 @@ impl SampleAssignment {
         std::mem::size_of::<Self>()
             + self.real.capacity() * std::mem::size_of::<u32>()
             + self.owners.capacity() * std::mem::size_of::<Rank>()
-            + self.index.approx_bytes()
-    }
-}
-
-/// One sample's shared result for one group: the assignment artifact plus
-/// `(recv, sent)` ghost histograms parallel to the group's ghost slots.
-pub(crate) struct GroupSampleOutcome {
-    pub(crate) assignment: SampleAssignment,
-    pub(crate) ghosts: Vec<(Vec<u32>, Vec<u32>)>,
-}
-
-/// The assignment phase of one (group, sample): mapper pass, per-rank
-/// counting, and the region-index build. Radius-independent by
-/// construction — the cacheable half of [`process_group_sample`].
-fn assign_group_sample(
-    positions: &[Vec3],
-    soa: &crate::soa::SoAPositions,
-    group: &GroupPlan,
-) -> SampleAssignment {
-    let outcome = if group.mapper.supports_soa() {
-        group.mapper.assign_soa(soa.xs(), soa.ys(), soa.zs())
-    } else {
-        group.mapper.assign(positions)
-    };
-    let mut real = vec![0u32; group.ranks];
-    for r in &outcome.ranks {
-        real[r.index()] += 1;
-    }
-    SampleAssignment {
-        real,
-        bin_count: outcome.bin_count,
-        owners: outcome.ranks,
-        index: RegionIndex::build(&outcome.rank_regions),
-    }
-}
-
-/// The ghost phase: every radius slot of the group served off a shared
-/// assignment artifact.
-fn ghost_group_sample(
-    positions: &[Vec3],
-    soa: &crate::soa::SoAPositions,
-    assignment: &SampleAssignment,
-    group: &GroupPlan,
-) -> Vec<(Vec<u32>, Vec<u32>)> {
-    if group.slots.is_empty() {
-        Vec::new()
-    } else {
-        multi_radius_ghost_counts(positions, soa, &assignment.owners, &assignment.index, group)
-    }
-}
-
-pub(crate) fn process_group_sample(positions: &[Vec3], group: &GroupPlan) -> GroupSampleOutcome {
-    // One transpose serves the mapper's SoA assignment and every shared
-    // ghost slot of the group (see `process_sample` for the AoS fallback).
-    let soa = crate::soa::SoAPositions::from_positions(positions);
-    let assignment = assign_group_sample(positions, &soa, group);
-    let ghosts = ghost_group_sample(positions, &soa, &assignment, group);
-    GroupSampleOutcome { assignment, ghosts }
-}
-
-/// Ghost histograms for every radius slot of a group, from one assignment.
-///
-/// Shared slots (`radius ≥ 0`) are served by a single candidate query per
-/// particle at the group's maximum shared radius: a region touches the
-/// radius-`r` sphere iff its retained squared distance is `≤ r²`, the same
-/// closed comparison the single-radius kernel's
-/// [`pic_types::Aabb::intersects_sphere`] performs, so the per-slot filter
-/// is bit-exact — see DESIGN.md §11 for the superset argument. Non-shared
-/// slots (NaN / negative radii) go through the unmodified single-radius
-/// kernel so their edge-case behavior matches the per-config path by
-/// construction rather than by argument.
-fn multi_radius_ghost_counts(
-    positions: &[Vec3],
-    soa: &crate::soa::SoAPositions,
-    owners: &[Rank],
-    index: &RegionIndex,
-    group: &GroupPlan,
-) -> Vec<(Vec<u32>, Vec<u32>)> {
-    let ranks = group.ranks;
-    let shared: Vec<(usize, f64)> = group
-        .slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.shared)
-        .map(|(k, s)| (k, s.radius))
-        .collect();
-    let mut out: Vec<(Vec<u32>, Vec<u32>)> = group
-        .slots
-        .iter()
-        .map(|_| (vec![0u32; ranks], vec![0u32; ranks]))
-        .collect();
-    match shared.len() {
-        0 => {}
-        1 => {
-            // A lone radius gains nothing from candidate retention; run
-            // the single-radius matrix kernel (identical output).
-            let (k, radius) = shared[0];
-            out[k] = crate::soa::ghost_counts_soa(soa, owners, index, radius, ranks);
-        }
-        _ => {
-            let rr: Vec<f64> = shared.iter().map(|&(_, r)| r * r).collect();
-            let partials =
-                crate::soa::multi_ghost_soa(soa, owners, index, group.shared_max, &rr, ranks);
-            for (&(k, _), partial) in shared.iter().zip(partials) {
-                out[k] = partial;
-            }
-        }
-    }
-    for (k, slot) in group.slots.iter().enumerate() {
-        if !slot.shared {
-            out[k] = generator::ghost_counts_chunked(positions, owners, index, slot.radius, ranks);
-        }
-    }
-    out
-}
-
-/// Chunked multi-radius ghost kernel: same chunk geometry and
-/// order-independent histogram merge as the single-radius
-/// `ghost_counts_chunked`, but each particle's candidate set is gathered
-/// once at `r_max` and counted once at its *first* (smallest) containing
-/// radius; suffix sums then recover the per-radius histograms. The counts
-/// are integers, so the regrouping is bit-identical to filtering every
-/// radius independently.
-#[doc(hidden)] // scalar reference kernel, exposed for benches and equivalence tests
-pub fn multi_ghost_chunked(
-    positions: &[Vec3],
-    owners: &[Rank],
-    index: &RegionIndex,
-    r_max: f64,
-    rr: &[f64],
-    ranks: usize,
-) -> Vec<(Vec<u32>, Vec<u32>)> {
-    // First-inclusion counting needs the radii ascending; slot order is
-    // arbitrary, so compute in sorted order and un-permute at the end.
-    let mut order: Vec<usize> = (0..rr.len()).collect();
-    order.sort_by(|&a, &b| rr[a].total_cmp(&rr[b]));
-    let sorted_rr: Vec<f64> = order.iter().map(|&i| rr[i]).collect();
-    let fresh = || -> Vec<(Vec<u32>, Vec<u32>)> {
-        rr.iter()
-            .map(|_| (vec![0u32; ranks], vec![0u32; ranks]))
-            .collect()
-    };
-    let chunks = positions.len().div_ceil(generator::GHOST_CHUNK);
-    let mut merged = if chunks <= 1 {
-        let mut partial = fresh();
-        multi_ghost_span(
-            positions,
-            owners,
-            index,
-            r_max,
-            &sorted_rr,
-            &mut RegionQueryScratch::new(),
-            &mut partial,
-        );
-        partial
-    } else {
-        let partials: Vec<Vec<(Vec<u32>, Vec<u32>)>> = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * generator::GHOST_CHUNK;
-                let hi = (lo + generator::GHOST_CHUNK).min(positions.len());
-                let mut partial = fresh();
-                multi_ghost_span(
-                    &positions[lo..hi],
-                    &owners[lo..hi],
-                    index,
-                    r_max,
-                    &sorted_rr,
-                    &mut RegionQueryScratch::new(),
-                    &mut partial,
-                );
-                partial
-            })
-            .collect();
-        let mut merged = fresh();
-        for partial in &partials {
-            for (acc, p) in merged.iter_mut().zip(partial) {
-                for (a, v) in acc.0.iter_mut().zip(&p.0) {
-                    *a += v;
-                }
-                for (a, v) in acc.1.iter_mut().zip(&p.1) {
-                    *a += v;
-                }
-            }
-        }
-        merged
-    };
-    let mut out = fresh();
-    for (pos, &slot) in order.iter().enumerate() {
-        out[slot] = std::mem::take(&mut merged[pos]);
-    }
-    out
-}
-
-/// Sequential multi-radius counting over one aligned span, `rr_sorted`
-/// ascending: each candidate is tallied once at the first radius that
-/// contains it, and a suffix pass completes the larger radii. Returns
-/// histograms in `rr_sorted` order.
-#[inline]
-fn multi_ghost_span(
-    positions: &[Vec3],
-    owners: &[Rank],
-    index: &RegionIndex,
-    r_max: f64,
-    rr_sorted: &[f64],
-    scratch: &mut RegionQueryScratch,
-    partial: &mut [(Vec<u32>, Vec<u32>)],
-) {
-    let nr = rr_sorted.len();
-    let mut count_first = vec![0u32; nr];
-    for (&p, &home) in positions.iter().zip(owners) {
-        count_first.iter_mut().for_each(|c| *c = 0);
-        // Every candidate satisfies d2 ≤ r_max² (the query's own visit
-        // condition), and r_max is the largest shared radius, so the
-        // first-inclusion scan always terminates inside the slice.
-        index.for_each_candidate_in_sphere(p, r_max, scratch, |t, d2| {
-            if t == home {
-                return;
-            }
-            let mut j = 0;
-            while d2 > rr_sorted[j] {
-                j += 1;
-            }
-            partial[j].0[t.index()] += 1;
-            count_first[j] += 1;
-        });
-        let mut copies = 0u32;
-        for (j, &c) in count_first.iter().enumerate() {
-            copies += c;
-            partial[j].1[home.index()] += copies;
-        }
-    }
-    // Suffix-complete the recv histograms: a region first touched at
-    // radius j is a ghost source at every radius ≥ j.
-    for j in 1..nr {
-        let (lo, hi) = partial.split_at_mut(j);
-        for (a, &v) in hi[0].0.iter_mut().zip(&lo[j - 1].0) {
-            *a += v;
-        }
+            + self.index.as_ref().map_or(0, RegionIndex::approx_bytes)
     }
 }
 
 /// One sample's ghost histograms: a `(recv, sent)` pair per radius slot.
-type GhostSlots = Vec<(Vec<u32>, Vec<u32>)>;
+pub(crate) type GhostSlots = Vec<(Vec<u32>, Vec<u32>)>;
 
-/// One sample's shared view: its assignment plus its ghost slot pairs.
-type SampleView<'a> = (&'a SampleAssignment, &'a [(Vec<u32>, Vec<u32>)]);
-
-/// Assemble one member's workload from its group's shared per-sample
-/// views (`(assignment, ghost histograms)` per trace sample).
-fn assemble_member(
-    member: &MemberPlan,
-    ranks: usize,
-    samples: &[SampleView<'_>],
-    iterations: &[u64],
-) -> DynamicWorkload {
-    let retained: Vec<usize> = (0..samples.len()).step_by(member.stride).collect();
-    let mut real = CompMatrix::new(ranks);
-    let mut ghost_recv = CompMatrix::new(ranks);
-    let mut ghost_sent = CompMatrix::new(ranks);
-    let mut bin_counts = Vec::with_capacity(retained.len());
-    let mut iters = Vec::with_capacity(retained.len());
-    let mut comm_entries = Vec::with_capacity(retained.len());
-    let zeros = vec![0u32; ranks];
-    let mut prev: Option<usize> = None;
-    for &t in &retained {
-        let (a, ghosts) = samples[t];
-        real.push_sample(&a.real);
-        match member.ghost_slot {
-            Some(k) => {
-                ghost_recv.push_sample(&ghosts[k].0);
-                ghost_sent.push_sample(&ghosts[k].1);
-            }
-            None => {
-                ghost_recv.push_sample(&zeros);
-                ghost_sent.push_sample(&zeros);
-            }
-        }
-        bin_counts.push(a.bin_count);
-        iters.push(iterations[t]);
-        comm_entries.push(match prev {
-            Some(pt) => migration_pairs(&samples[pt].0.owners, &a.owners),
-            None => Vec::new(),
-        });
-        prev = Some(t);
+/// The assignment half of the group kernel: the mapper pass alone.
+/// Owner-only passes (reduced replay's predecessors) stop here.
+pub(crate) fn assign(positions: &[Vec3], soa: &SoAPositions, group: &GroupPlan) -> MappingOutcome {
+    if group.mapper.supports_soa() {
+        group.mapper.assign_soa(soa.xs(), soa.ys(), soa.zs())
+    } else {
+        group.mapper.assign(positions)
     }
-    DynamicWorkload {
-        ranks,
-        iterations: iters,
+}
+
+/// The per-(group, sample) kernel: the assignment half, per-rank
+/// counting, the region-index build, and every ghost radius slot of the
+/// group. One SoA transpose serves the mapper and the ghost kernels.
+/// `keep_index` keeps the index in the artifact (for an
+/// [`AssignmentCache`]); otherwise it is dropped here, and not built at
+/// all when the group has no ghost slots.
+pub(crate) fn process_group_sample(
+    positions: &[Vec3],
+    group: &GroupPlan,
+    keep_index: bool,
+) -> (SampleAssignment, GhostSlots) {
+    let soa = SoAPositions::from_positions(positions);
+    let outcome = assign(positions, &soa, group);
+    let mut real = vec![0u32; group.ranks];
+    for r in &outcome.ranks {
+        real[r.index()] += 1;
+    }
+    let index =
+        (keep_index || !group.slots.is_empty()).then(|| RegionIndex::build(&outcome.rank_regions));
+    let ghosts = match &index {
+        Some(index) => ghost_slots(&soa, &outcome.ranks, index, group),
+        None => Vec::new(),
+    };
+    let assignment = SampleAssignment {
         real,
-        ghost_recv,
-        ghost_sent,
-        comm: CommMatrix {
-            entries: comm_entries,
-        },
-        bin_counts,
+        bin_count: outcome.bin_count,
+        owners: outcome.ranks,
+        index: index.filter(|_| keep_index),
+    };
+    (assignment, ghosts)
+}
+
+/// Ghost histograms for every radius slot of a group, from one assignment.
+///
+/// When two or more slots are shared (`radius ≥ 0`), one candidate query
+/// per particle at the group's maximum shared radius serves them all: a
+/// region touches the radius-`r` sphere iff its retained squared distance
+/// is `≤ r²`, the same closed comparison the single-radius kernel
+/// performs, so the per-slot filter is bit-exact — see DESIGN.md §11.
+/// Every other slot, including NaN and negative radii, goes through the
+/// single-radius [`soa::ghost_counts_soa`].
+fn ghost_slots(
+    soa: &SoAPositions,
+    owners: &[Rank],
+    index: &RegionIndex,
+    group: &GroupPlan,
+) -> GhostSlots {
+    let ranks = group.ranks;
+    let multi_pass = group.shared_slots() > 1;
+    let mut multi = if multi_pass {
+        let rr: Vec<f64> = group
+            .slots
+            .iter()
+            .filter(|s| s.shared)
+            .map(|s| s.radius * s.radius)
+            .collect();
+        soa::multi_ghost_soa(soa, owners, index, group.shared_max, &rr, ranks)
+    } else {
+        Vec::new()
+    }
+    .into_iter();
+    group
+        .slots
+        .iter()
+        .map(|slot| {
+            if multi_pass && slot.shared {
+                multi.next().expect("one histogram pair per shared slot")
+            } else {
+                soa::ghost_counts_soa(soa, owners, index, slot.radius, ranks)
+            }
+        })
+        .collect()
+}
+
+/// The in-order accumulator: folds one sweep point's retained samples,
+/// in trace order, into its [`DynamicWorkload`].
+pub(crate) struct Accumulator {
+    ghost_slot: Option<usize>,
+    zeros: Vec<u32>,
+    prev_owners: Option<Vec<Rank>>,
+    pub(crate) workload: DynamicWorkload,
+}
+
+impl Accumulator {
+    pub(crate) fn new(member: &MemberPlan, ranks: usize) -> Accumulator {
+        Accumulator {
+            ghost_slot: member.ghost_slot,
+            zeros: vec![0u32; ranks],
+            prev_owners: None,
+            workload: DynamicWorkload {
+                ranks,
+                iterations: Vec::new(),
+                real: CompMatrix::new(ranks),
+                ghost_recv: CompMatrix::new(ranks),
+                ghost_sent: CompMatrix::new(ranks),
+                comm: CommMatrix::default(),
+                bin_counts: Vec::new(),
+            },
+        }
+    }
+
+    /// Fold one sample; its migrations are the ownership diff against the
+    /// previously folded sample (none for the first).
+    fn push(&mut self, iteration: u64, a: &SampleAssignment, ghosts: &GhostSlots) {
+        let comm = match &self.prev_owners {
+            Some(prev) => migration_pairs(prev, &a.owners),
+            None => Vec::new(),
+        };
+        self.push_with_comm(iteration, a, ghosts, comm);
+        let prev = self.prev_owners.get_or_insert_with(Vec::new);
+        prev.clear();
+        prev.extend_from_slice(&a.owners);
+    }
+
+    /// Fold one sample with explicitly given migrations (reduced replay
+    /// broadcasts its representatives' one-step diffs).
+    pub(crate) fn push_with_comm(
+        &mut self,
+        iteration: u64,
+        a: &SampleAssignment,
+        ghosts: &GhostSlots,
+        comm: Vec<(u32, u32, u32)>,
+    ) {
+        let w = &mut self.workload;
+        let (recv, sent) = match self.ghost_slot {
+            Some(k) => (&ghosts[k].0, &ghosts[k].1),
+            None => (&self.zeros, &self.zeros),
+        };
+        w.real.push_sample(&a.real);
+        w.ghost_recv.push_sample(recv);
+        w.ghost_sent.push_sample(sent);
+        w.bin_counts.push(a.bin_count);
+        w.iterations.push(iteration);
+        w.comm.entries.push(comm);
     }
 }
 
@@ -552,7 +419,7 @@ pub fn sweep(
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
 ) -> Result<Vec<DynamicWorkload>> {
-    sweep_with_stats(trace, points, mesh).map(|(w, _)| w)
+    sweep_in_memory(trace, points, mesh, None).map(|(w, _)| w)
 }
 
 /// [`sweep`], additionally returning the sharing accounting.
@@ -561,37 +428,111 @@ pub fn sweep_with_stats(
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
 ) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
+    sweep_in_memory(trace, points, mesh, None)
+}
+
+/// [`sweep_with_stats`] backed by an [`AssignmentCache`]: assignment
+/// groups whose artifacts are resident skip the mapper / counting / index
+/// replay entirely and run only the ghost phase; missing groups run the
+/// full kernel and publish their artifacts for the next caller. Outputs
+/// are bit-identical to [`sweep`] — artifacts are plain data produced by
+/// the same kernels, so serving them from memory cannot perturb a bit —
+/// and `stats.assign_passes` reports the passes actually executed, with
+/// `stats.cached_groups` counting the groups served from cache.
+pub fn sweep_with_cache(
+    trace: &ParticleTrace,
+    points: &[SweepPoint],
+    mesh: Option<&ElementMesh>,
+    cache: &AssignmentCache,
+) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
+    sweep_in_memory(trace, points, mesh, Some(cache))
+}
+
+/// The in-memory driver: one flattened (group, sample) fan-out of the
+/// kernel — parallelism across configurations composed with the kernels'
+/// intra-sample spans — then every member assembled in parallel. Without
+/// a cache each sample's [`RegionIndex`] is dropped after its ghost phase.
+fn sweep_in_memory(
+    trace: &ParticleTrace,
+    points: &[SweepPoint],
+    mesh: Option<&ElementMesh>,
+    cache: Option<&AssignmentCache>,
+) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
     let plan = build_plan(points, mesh)?;
-    let samples: Vec<&pic_trace::TraceSample> = trace.samples().collect();
+    let samples: Vec<&[Vec3]> = trace.samples().map(|s| &s.positions[..]).collect();
     let t_count = samples.len();
-    // Flattened (group, sample) fan-out: outer-level parallelism across
-    // configurations composed with the chunked intra-sample ghost kernel
-    // (big samples split further inside process_group_sample).
-    let outcomes: Vec<GroupSampleOutcome> = pic_types::pool::install(|| {
+    let mesh_fp = mesh.map(mesh_fingerprint);
+    let keys: Vec<AssignmentKey> = plan
+        .groups
+        .iter()
+        .map(|g| AssignmentKey::for_group(g.key, mesh_fp))
+        .collect();
+    let hits: Vec<Option<Arc<Vec<SampleAssignment>>>> =
+        keys.iter().map(|k| cache.and_then(|c| c.get(k))).collect();
+
+    // Cache-hit groups owe only their ghost phase (radii are not part of
+    // the artifact); every other group runs the full kernel.
+    let outcomes: Vec<(Option<SampleAssignment>, GhostSlots)> = pic_types::pool::install(|| {
         (0..plan.groups.len() * t_count)
             .into_par_iter()
             .map(|i| {
-                let (g, t) = (i / t_count, i % t_count);
-                process_group_sample(&samples[t].positions, &plan.groups[g])
+                let (group, positions) = (&plan.groups[i / t_count], samples[i % t_count]);
+                match &hits[i / t_count] {
+                    Some(_) if group.slots.is_empty() => (None, Vec::new()),
+                    Some(arts) => {
+                        let a = &arts[i % t_count];
+                        let index = a.index.as_ref().expect("cached artifacts keep their index");
+                        let soa = SoAPositions::from_positions(positions);
+                        (None, ghost_slots(&soa, &a.owners, index, group))
+                    }
+                    None => {
+                        let (a, ghosts) = process_group_sample(positions, group, cache.is_some());
+                        (Some(a), ghosts)
+                    }
+                }
             })
             .collect()
     });
+
+    let mut outcomes = outcomes.into_iter();
+    let mut stats = stats_for(&plan, t_count);
+    let per_group: Vec<(Arc<Vec<SampleAssignment>>, Vec<GhostSlots>)> = hits
+        .into_iter()
+        .zip(keys)
+        .map(|(hit, key)| {
+            let (fresh, ghosts): (Vec<_>, Vec<_>) = outcomes.by_ref().take(t_count).unzip();
+            let arts = match hit {
+                Some(arts) => {
+                    stats.cached_groups += 1;
+                    stats.assign_passes -= t_count;
+                    arts
+                }
+                None => {
+                    let arts = Arc::new(fresh.into_iter().flatten().collect::<Vec<_>>());
+                    if let Some(cache) = cache {
+                        cache.insert(key, Arc::clone(&arts));
+                    }
+                    arts
+                }
+            };
+            (arts, ghosts)
+        })
+        .collect();
+
     let iterations = trace.iterations();
     let workloads: Vec<DynamicWorkload> = pic_types::pool::install(|| {
         plan.members
             .par_iter()
             .map(|m| {
-                let group = &plan.groups[m.group];
-                let span = &outcomes[m.group * t_count..(m.group + 1) * t_count];
-                let views: Vec<SampleView<'_>> = span
-                    .iter()
-                    .map(|o| (&o.assignment, o.ghosts.as_slice()))
-                    .collect();
-                assemble_member(m, group.ranks, &views, &iterations)
+                let (arts, ghosts) = &per_group[m.group];
+                let mut acc = Accumulator::new(m, plan.groups[m.group].ranks);
+                for t in (0..t_count).step_by(m.stride) {
+                    acc.push(iterations[t], &arts[t], &ghosts[t]);
+                }
+                acc.workload
             })
             .collect()
     });
-    let stats = stats_for(&plan, t_count);
     Ok((workloads, stats))
 }
 
@@ -810,193 +751,104 @@ impl AssignmentCache {
     }
 }
 
-/// [`sweep_with_stats`] backed by an [`AssignmentCache`]: assignment
-/// groups whose artifacts are resident skip the mapper / counting / index
-/// replay entirely and jump to the ghost phase; missing groups run the
-/// normal pass and publish their artifacts for the next caller. Outputs
-/// are bit-identical to [`sweep`] — artifacts are plain data produced by
-/// the same kernels, so serving them from memory cannot perturb a bit —
-/// and `stats.assign_passes` reports the passes actually executed, with
-/// `stats.cached_groups` counting the groups served from cache.
-pub fn sweep_with_cache(
-    trace: &ParticleTrace,
-    points: &[SweepPoint],
-    mesh: Option<&ElementMesh>,
-    cache: &AssignmentCache,
-) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
-    let plan = build_plan(points, mesh)?;
-    let samples: Vec<&pic_trace::TraceSample> = trace.samples().collect();
-    let t_count = samples.len();
-    let mesh_fp = mesh.map(mesh_fingerprint);
-
-    let keys: Vec<AssignmentKey> = plan
-        .groups
-        .iter()
-        .map(|g| AssignmentKey::for_group(g.key, mesh_fp))
-        .collect();
-    let mut assignments: Vec<Option<Arc<Vec<SampleAssignment>>>> =
-        keys.iter().map(|k| cache.get(k)).collect();
-    let missing: Vec<usize> = (0..plan.groups.len())
-        .filter(|&g| assignments[g].is_none())
-        .collect();
-
-    // Missing groups run the fused pass (one SoA transpose serves both
-    // phases, exactly as the cacheless path does); their ghosts are kept
-    // so they aren't recomputed below.
-    let mut ghosts: Vec<Vec<GhostSlots>> = (0..plan.groups.len()).map(|_| Vec::new()).collect();
-    if !missing.is_empty() {
-        let outcomes: Vec<GroupSampleOutcome> = pic_types::pool::install(|| {
-            (0..missing.len() * t_count)
-                .into_par_iter()
-                .map(|i| {
-                    let (mi, t) = (i / t_count, i % t_count);
-                    process_group_sample(&samples[t].positions, &plan.groups[missing[mi]])
-                })
-                .collect()
-        });
-        let mut outcomes = outcomes.into_iter();
-        for &g in &missing {
-            let mut arts = Vec::with_capacity(t_count);
-            let mut gh = Vec::with_capacity(t_count);
-            for o in outcomes.by_ref().take(t_count) {
-                arts.push(o.assignment);
-                gh.push(o.ghosts);
-            }
-            let arts = Arc::new(arts);
-            cache.insert(keys[g], Arc::clone(&arts));
-            assignments[g] = Some(arts);
-            ghosts[g] = gh;
-        }
-    }
-
-    // Cache-hit groups still owe their ghost phase (radii are not part of
-    // the artifact); replay it off the resident assignments.
-    let hit_ghost_work: Vec<usize> = (0..plan.groups.len())
-        .filter(|&g| ghosts[g].is_empty() && !plan.groups[g].slots.is_empty() && t_count > 0)
-        .collect();
-    if !hit_ghost_work.is_empty() {
-        let assignments = &assignments;
-        let computed: Vec<Vec<(Vec<u32>, Vec<u32>)>> = pic_types::pool::install(|| {
-            (0..hit_ghost_work.len() * t_count)
-                .into_par_iter()
-                .map(|i| {
-                    let (gi, t) = (i / t_count, i % t_count);
-                    let g = hit_ghost_work[gi];
-                    let positions = &samples[t].positions;
-                    let soa = crate::soa::SoAPositions::from_positions(positions);
-                    let arts = assignments[g].as_ref().expect("hit group lost artifacts");
-                    ghost_group_sample(positions, &soa, &arts[t], &plan.groups[g])
-                })
-                .collect()
-        });
-        let mut computed = computed.into_iter();
-        for &g in &hit_ghost_work {
-            ghosts[g] = computed.by_ref().take(t_count).collect();
-        }
-    }
-    // Ghost-free hit groups: give every sample its empty slot vector.
-    for slots in ghosts.iter_mut() {
-        if slots.is_empty() {
-            *slots = vec![Vec::new(); t_count];
-        }
-    }
-
-    let iterations = trace.iterations();
-    let assignments_ref = &assignments;
-    let ghosts_ref = &ghosts;
-    let workloads: Vec<DynamicWorkload> = pic_types::pool::install(|| {
-        plan.members
-            .par_iter()
-            .map(|m| {
-                let group = &plan.groups[m.group];
-                let arts = assignments_ref[m.group]
-                    .as_ref()
-                    .expect("group lost artifacts");
-                let views: Vec<SampleView<'_>> = arts
-                    .iter()
-                    .zip(&ghosts_ref[m.group])
-                    .map(|(a, gh)| (a, gh.as_slice()))
-                    .collect();
-                assemble_member(m, group.ranks, &views, &iterations)
-            })
-            .collect()
-    });
-
-    let mut stats = stats_for(&plan, t_count);
-    stats.assign_passes = missing.len() * t_count;
-    stats.cached_groups = plan.groups.len() - missing.len();
-    Ok((workloads, stats))
-}
-
-/// Convenience: a stride-1 sweep over plain configurations.
-pub fn sweep_configs(
-    trace: &ParticleTrace,
-    configs: &[WorkloadConfig],
-    mesh: Option<&ElementMesh>,
-) -> Result<Vec<DynamicWorkload>> {
-    let points: Vec<SweepPoint> = configs.iter().cloned().map(SweepPoint::new).collect();
-    sweep(trace, &points, mesh)
-}
-
-/// Per-member streaming accumulator: the rows of one output workload,
-/// folded sample-by-sample.
-struct MemberAccum {
-    real: CompMatrix,
-    ghost_recv: CompMatrix,
-    ghost_sent: CompMatrix,
-    bin_counts: Vec<Option<usize>>,
-    iterations: Vec<u64>,
-    comm_entries: Vec<Vec<(u32, u32, u32)>>,
-    prev_owners: Option<Vec<Rank>>,
-}
-
-/// Decoded frames in flight between pipeline stages (mirrors the
-/// single-config streaming path).
+/// Decoded frames in flight between pipeline stages. Bounds resident
+/// memory to `O(PIPELINE_DEPTH + workers)` samples regardless of trace
+/// length, preserving the streaming path's reason to exist.
 const PIPELINE_DEPTH: usize = 4;
+
+/// Observability counters from one [`sweep_streaming`] run: how much
+/// was ingested and where the pipeline's time went. Exposed because a
+/// full-scale ingest runs for hours over hundreds of gigabytes (§II-D) —
+/// "is it the disk, the decode, or the ghost kernel?" must be answerable
+/// from the stats block alone.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct IngestStats {
+    /// Frames successfully decoded and folded into the workload.
+    pub frames_decoded: usize,
+    /// Bytes consumed from the trace stream, header included.
+    pub bytes_read: u64,
+    /// Wall-clock seconds the decoder thread spent inside `read_sample`.
+    pub decode_seconds: f64,
+    /// Summed busy seconds across workers in the mapping + ghost kernel.
+    pub ghost_seconds: f64,
+    /// Wall-clock seconds the consumer spent merging outcomes in order
+    /// (including the sequential migration diff).
+    pub merge_seconds: f64,
+}
+
+/// Terminal state handed back by the decoder thread: its status plus the
+/// ingestion counters only it can observe.
+struct DecoderReport {
+    status: Result<()>,
+    frames: usize,
+    bytes: u64,
+    seconds: f64,
+}
 
 /// Streaming sweep: drive every sweep point sample-by-sample off one
 /// [`pic_trace::SampleSource`] pass (raw or compact on-disk format),
-/// bit-identical to [`sweep`].
+/// bit-identical to [`sweep`], with the [`IngestStats`] block.
 ///
-/// The pipeline is the single-config streaming generator's — decoder
-/// thread → bounded channel → worker pool → in-order merge — except each
-/// frame is processed once **per group** and folded into one accumulator
-/// per member. Resident memory is `O(PIPELINE_DEPTH + workers)` frames
-/// plus the accumulated output rows: bounded by one sample ×
-/// configurations, never trace length × configurations. Error behavior
-/// matches [`generator::generate_streaming`]: a corrupt stream fails the
-/// run with the decoder's positioned error after every thread is joined.
+/// A decoder thread pulls frames off the reader via
+/// [`pic_trace::SampleSource::read_sample`] and feeds a bounded channel; a
+/// pool of workers runs the group kernel on each frame, once per group;
+/// the caller's thread merges worker results back into trace order and
+/// folds them into one accumulator per member (frame `t`'s migration diff
+/// needs frame `t-1`'s ownership, so the merge is the one inherently
+/// serial stage). Resident memory is `O(PIPELINE_DEPTH + workers)` frames
+/// plus the accumulated output rows.
+///
+/// On a malformed or failing stream the decoder thread stops at the first
+/// error, the workers drain whatever was already queued and exit, the
+/// merge completes over the cleanly decoded prefix, and the decoder's
+/// *positioned* error is returned. Every pipeline thread is joined before
+/// this function returns: a corrupt trace fails the run, it cannot hang
+/// it.
 pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
     mut reader: S,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
-) -> Result<Vec<DynamicWorkload>> {
+) -> Result<(Vec<DynamicWorkload>, IngestStats)> {
     let plan = build_plan(points, mesh)?;
     let plan = &plan;
-    // Shared-pool policy: ambient installs override, else the
-    // `RAYON_NUM_THREADS`-aware shared pool size applies.
+    // Worker count follows the shared-pool policy: an ambient install (a
+    // bench's `--threads` override) wins, otherwise the shared pool's
+    // `RAYON_NUM_THREADS`-aware size applies.
     let workers = pic_types::pool::install(rayon::current_num_threads).max(1);
+    let ghost_nanos = AtomicU64::new(0);
+    let ghost_nanos = &ghost_nanos;
 
-    std::thread::scope(|scope| -> Result<Vec<DynamicWorkload>> {
+    std::thread::scope(|scope| -> Result<(Vec<DynamicWorkload>, IngestStats)> {
         let (frame_tx, frame_rx) =
             crossbeam::channel::bounded::<(usize, pic_trace::TraceSample)>(PIPELINE_DEPTH);
-        let (out_tx, out_rx) = crossbeam::channel::bounded::<(usize, u64, Vec<GroupSampleOutcome>)>(
-            PIPELINE_DEPTH + workers,
-        );
+        type Outcomes = Vec<(SampleAssignment, GhostSlots)>;
+        let (out_tx, out_rx) =
+            crossbeam::channel::bounded::<(usize, u64, Outcomes)>(PIPELINE_DEPTH + workers);
 
-        let decoder = scope.spawn(move || -> Result<()> {
-            let mut i = 0usize;
-            loop {
-                match reader.read_sample() {
+        let decoder = scope.spawn(move || -> DecoderReport {
+            let mut seconds = 0.0;
+            let mut frames = 0usize;
+            let status = loop {
+                let t0 = std::time::Instant::now();
+                let next = reader.read_sample();
+                seconds += t0.elapsed().as_secs_f64();
+                match next {
                     Ok(Some(frame)) => {
-                        if frame_tx.send((i, frame)).is_err() {
-                            return Ok(()); // every worker hung up; stop
+                        // A send error means every worker hung up; stop.
+                        if frame_tx.send((frames, frame)).is_err() {
+                            break Ok(());
                         }
-                        i += 1;
+                        frames += 1;
                     }
-                    Ok(None) => return Ok(()),
-                    Err(e) => return Err(e),
+                    Ok(None) => break Ok(()),
+                    Err(e) => break Err(e),
                 }
+            };
+            DecoderReport {
+                status,
+                frames,
+                bytes: reader.bytes_read(),
+                seconds,
             }
         });
 
@@ -1004,20 +856,22 @@ pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
             let rx = frame_rx.clone();
             let tx = out_tx.clone();
             scope.spawn(move || {
-                // Frame-level fan-out is the parallelism; pin each
-                // worker's intra-sample kernels to one thread so the
+                // Sample-level fan-out is the parallelism here; pin each
+                // worker's intra-sample ghost kernel to one thread so the
                 // stages don't oversubscribe each other.
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(1)
                     .build()
                     .unwrap();
                 while let Ok((i, frame)) = rx.recv() {
-                    let outcomes: Vec<GroupSampleOutcome> = pool.install(|| {
+                    let t0 = std::time::Instant::now();
+                    let outcomes: Outcomes = pool.install(|| {
                         plan.groups
                             .iter()
-                            .map(|g| process_group_sample(&frame.positions, g))
+                            .map(|g| process_group_sample(&frame.positions, g, false))
                             .collect()
                     });
+                    ghost_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     if tx.send((i, frame.iteration, outcomes)).is_err() {
                         break;
                     }
@@ -1027,79 +881,46 @@ pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
         drop(frame_rx);
         drop(out_tx);
 
-        let mut accums: Vec<MemberAccum> = plan
+        let mut accums: Vec<Accumulator> = plan
             .members
             .iter()
-            .map(|m| {
-                let ranks = plan.groups[m.group].ranks;
-                MemberAccum {
-                    real: CompMatrix::new(ranks),
-                    ghost_recv: CompMatrix::new(ranks),
-                    ghost_sent: CompMatrix::new(ranks),
-                    bin_counts: Vec::new(),
-                    iterations: Vec::new(),
-                    comm_entries: Vec::new(),
-                    prev_owners: None,
-                }
-            })
+            .map(|m| Accumulator::new(m, plan.groups[m.group].ranks))
             .collect();
+        let mut merge_seconds = 0.0;
         // Reorder buffer: results stall here until their predecessors
-        // land, so the fold below always sees samples in trace order.
-        let mut pending: std::collections::BTreeMap<usize, (u64, Vec<GroupSampleOutcome>)> =
+        // land. Its size is bounded by the channel capacities above.
+        let mut pending: std::collections::BTreeMap<usize, (u64, Outcomes)> =
             std::collections::BTreeMap::new();
         let mut next = 0usize;
         while let Ok((i, iteration, outcomes)) = out_rx.recv() {
+            let t0 = std::time::Instant::now();
             pending.insert(i, (iteration, outcomes));
             while let Some((iteration, outcomes)) = pending.remove(&next) {
                 for (m, acc) in plan.members.iter().zip(&mut accums) {
-                    if !next.is_multiple_of(m.stride) {
-                        continue;
+                    if next.is_multiple_of(m.stride) {
+                        let (a, ghosts) = &outcomes[m.group];
+                        acc.push(iteration, a, ghosts);
                     }
-                    let o = &outcomes[m.group];
-                    acc.real.push_sample(&o.assignment.real);
-                    let ranks = plan.groups[m.group].ranks;
-                    match m.ghost_slot {
-                        Some(k) => {
-                            acc.ghost_recv.push_sample(&o.ghosts[k].0);
-                            acc.ghost_sent.push_sample(&o.ghosts[k].1);
-                        }
-                        None => {
-                            let zeros = vec![0u32; ranks];
-                            acc.ghost_recv.push_sample(&zeros);
-                            acc.ghost_sent.push_sample(&zeros);
-                        }
-                    }
-                    acc.bin_counts.push(o.assignment.bin_count);
-                    acc.iterations.push(iteration);
-                    acc.comm_entries.push(match &acc.prev_owners {
-                        Some(prev) => migration_pairs(prev, &o.assignment.owners),
-                        None => Vec::new(),
-                    });
-                    acc.prev_owners = Some(o.assignment.owners.clone());
                 }
                 next += 1;
             }
+            merge_seconds += t0.elapsed().as_secs_f64();
         }
-        // out_rx closed ⇒ workers exited ⇒ the decoder has no readers
-        // left; joining here cannot block on a stalled stream.
-        decoder.join().expect("trace decoder thread panicked")?;
+        // out_rx closed ⇒ every worker has already exited; the decoder is
+        // done too (its channel has no readers left). Joining here cannot
+        // block on a stalled stream, so surfacing the decode error
+        // (truncated frame, I/O failure) is hang-free by construction.
+        let report = decoder.join().expect("trace decoder thread panicked");
+        report.status?;
 
-        Ok(plan
-            .members
-            .iter()
-            .zip(accums)
-            .map(|(m, acc)| DynamicWorkload {
-                ranks: plan.groups[m.group].ranks,
-                iterations: acc.iterations,
-                real: acc.real,
-                ghost_recv: acc.ghost_recv,
-                ghost_sent: acc.ghost_sent,
-                comm: CommMatrix {
-                    entries: acc.comm_entries,
-                },
-                bin_counts: acc.bin_counts,
-            })
-            .collect())
+        let stats = IngestStats {
+            frames_decoded: report.frames,
+            bytes_read: report.bytes,
+            decode_seconds: report.seconds,
+            ghost_seconds: ghost_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
+            merge_seconds,
+        };
+        Ok((accums.into_iter().map(|a| a.workload).collect(), stats))
     })
 }
 
@@ -1293,7 +1114,7 @@ mod tests {
         let in_memory = sweep(&tr, &points, Some(&m)).unwrap();
         let bytes = encode_trace(&tr, Precision::F64).unwrap();
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let streamed = sweep_streaming(reader, &points, Some(&m)).unwrap();
+        let (streamed, _) = sweep_streaming(reader, &points, Some(&m)).unwrap();
         assert_eq!(streamed, in_memory);
     }
 
@@ -1474,7 +1295,7 @@ mod tests {
     fn large_sample_exercises_chunked_multi_radius_kernel() {
         // Two chunks' worth of particles so the parallel partial merge of
         // the multi-radius kernel actually runs.
-        let tr = make_trace(generator::GHOST_CHUNK * 2 + 57, 2, 10);
+        let tr = make_trace(crate::soa::GHOST_CHUNK * 2 + 57, 2, 10);
         let m = mesh();
         let points: Vec<SweepPoint> = [0.02, 0.05, 0.09]
             .iter()

@@ -2,6 +2,7 @@
 //! arbitrary traces.
 
 use pic_mapping::MappingAlgorithm;
+use pic_oracle::generate_reference;
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::{Aabb, Rank, Vec3};
 use pic_workload::generator::{self, WorkloadConfig};
@@ -140,14 +141,13 @@ proptest! {
         use pic_grid::{ElementMesh, MeshDims};
         let mesh = ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap();
         let cfg = WorkloadConfig::new(ranks, mapping, radius);
-        // The chunked intra-sample kernel and the streamed pipeline must
-        // both reproduce the straight-line sequential replay exactly.
-        let reference = generator::generate_reference(&tr, &cfg, Some(&mesh)).unwrap();
+        // The in-memory and the streamed drivers must both reproduce the straight-line sequential replay exactly.
+        let reference = generate_reference(&tr, &cfg, Some(&mesh)).unwrap();
         let parallel = generator::generate_with_mesh(&tr, &cfg, Some(&mesh)).unwrap();
         prop_assert_eq!(&parallel, &reference);
         let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let streamed = generator::generate_streaming(reader, &cfg, Some(&mesh)).unwrap();
+        let (streamed, _) = generator::generate_streaming_with_stats(reader, &cfg, Some(&mesh)).unwrap();
         prop_assert_eq!(&streamed, &reference);
     }
 
@@ -181,13 +181,13 @@ proptest! {
         prop_assert_eq!(workloads.len(), points.len());
         for (p, w) in points.iter().zip(&workloads) {
             let sub = tr.subsample(p.stride);
-            let reference = generator::generate_reference(&sub, &p.config, Some(&mesh)).unwrap();
+            let reference = generate_reference(&sub, &p.config, Some(&mesh)).unwrap();
             prop_assert_eq!(w, &reference);
         }
         // The bounded-memory streaming sweep folds to the same grid.
         let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let streamed = sweep::sweep_streaming(reader, &points, Some(&mesh)).unwrap();
+        let (streamed, _) = sweep::sweep_streaming(reader, &points, Some(&mesh)).unwrap();
         prop_assert_eq!(&streamed, &workloads);
     }
 

@@ -1,15 +1,16 @@
 //! Property-based tests for SimPoint-style reduced replay: the `K = T`
 //! identity plan must make [`pic_workload::generate_reduced`] bit-identical
-//! to the sequential oracle [`generator::generate_reference`] across every
+//! to the sequential oracle [`pic_oracle::generate_reference`] across every
 //! mapping algorithm and ghost setting, and [`pic_workload::sweep_reduced`]
 //! identical to [`sweep::sweep`] at stride 1 — the contract that pins the
 //! reduced path's per-sample kernel to the full replay's.
 
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
+use pic_oracle::generate_reference;
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::{Aabb, Vec3};
-use pic_workload::generator::{self, WorkloadConfig};
+use pic_workload::generator::WorkloadConfig;
 use pic_workload::sweep::{self, SweepPoint};
 use pic_workload::{generate_reduced, sweep_reduced, ReductionPlan};
 use proptest::prelude::*;
@@ -62,7 +63,7 @@ proptest! {
         cfg.compute_ghosts = ghosts;
         let plan = ReductionPlan::identity(tr.sample_count());
         let reduced = generate_reduced(&tr, &cfg, Some(&mesh), &plan).unwrap();
-        let full = generator::generate_reference(&tr, &cfg, Some(&mesh)).unwrap();
+        let full = generate_reference(&tr, &cfg, Some(&mesh)).unwrap();
         prop_assert_eq!(reduced, full);
     }
 

@@ -4,10 +4,9 @@
 //! boundary.
 
 use pic_mapping::{BinMapper, ParticleMapper, RegionIndex};
+use pic_oracle::{ghost_counts_chunked, multi_ghost_chunked};
 use pic_types::{Rank, Vec3};
-use pic_workload::generator::ghost_counts_chunked;
 use pic_workload::soa::{ghost_counts_soa, multi_ghost_soa, SoAPositions, LANE};
-use pic_workload::sweep::multi_ghost_chunked;
 use proptest::prelude::*;
 
 /// Particle counts that exercise every lane-boundary case: exact multiples

@@ -1,5 +1,5 @@
 //! Streaming-pipeline shutdown under trace faults (the acceptance
-//! criterion for ingestion hardening): feeding `generate_streaming` a
+//! criterion for ingestion hardening): feeding the streaming pipeline a
 //! truncated or failing stream must return the decoder's *positioned*
 //! error with every pipeline thread joined — never hang, never panic.
 //! Each run executes on a watchdog thread with a hard timeout so a
@@ -13,7 +13,7 @@ use pic_trace::codec::{encode_trace, Precision};
 use pic_trace::fault::{truncation_points, FailAt, TruncateAt};
 use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::{Aabb, PicError, TraceErrorKind, Vec3};
-use pic_workload::{generate_streaming, generate_streaming_with_stats, WorkloadConfig};
+use pic_workload::{generate_streaming_with_stats, DynamicWorkload, WorkloadConfig};
 
 /// Generous bound: a healthy run over these tiny traces finishes in
 /// milliseconds, so hitting it can only mean a stuck pipeline thread.
@@ -35,15 +35,20 @@ fn cfg() -> WorkloadConfig {
     WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05)
 }
 
+/// The streaming front-end without its stats block.
+fn generate_streaming<S: pic_trace::SampleSource + Send>(
+    reader: S,
+    cfg: &WorkloadConfig,
+) -> pic_types::Result<DynamicWorkload> {
+    generate_streaming_with_stats(reader, cfg, None).map(|(w, _)| w)
+}
+
 /// Run the full open-reader-then-stream path on its own thread; panic if
 /// it neither returns nor errors within the watchdog window.
-fn stream_with_watchdog(
-    bytes: Vec<u8>,
-    label: String,
-) -> pic_types::Result<pic_workload::DynamicWorkload> {
+fn stream_with_watchdog(bytes: Vec<u8>, label: String) -> pic_types::Result<DynamicWorkload> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let result = TraceReader::new(&bytes[..]).and_then(|r| generate_streaming(r, &cfg(), None));
+        let result = TraceReader::new(&bytes[..]).and_then(|r| generate_streaming(r, &cfg()));
         // The watchdog may have given up; a dead receiver is fine.
         let _ = tx.send(result);
     });
@@ -94,7 +99,7 @@ fn hard_io_fault_mid_stream_propagates_with_workers_joined() {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let faulty = FailAt::new(&bytes[..], fail_at, std::io::ErrorKind::BrokenPipe);
-        let result = TraceReader::new(faulty).and_then(|r| generate_streaming(r, &cfg(), None));
+        let result = TraceReader::new(faulty).and_then(|r| generate_streaming(r, &cfg()));
         let _ = tx.send(result);
     });
     let err = rx
@@ -117,7 +122,7 @@ fn truncating_reader_mid_frame_is_a_positioned_error() {
     // Cut inside the last frame's position payload.
     let cut = (bytes.len() - 10) as u64;
     let reader = TraceReader::new(TruncateAt::new(&bytes[..], cut)).unwrap();
-    let err = generate_streaming(reader, &cfg(), None).unwrap_err();
+    let err = generate_streaming(reader, &cfg()).unwrap_err();
     assert_positioned(&err, "mid-frame truncation");
     assert_eq!(
         err.trace_details().unwrap().kind,
