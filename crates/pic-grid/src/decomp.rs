@@ -289,6 +289,21 @@ impl RcbDecomposition {
             .collect()
     }
 
+    /// The element ids owned by every rank, each list ascending: entry `r`
+    /// equals [`elements_of_rank`](Self::elements_of_rank)`(r)`, built in
+    /// one pass over the owner array.
+    pub fn elements_by_rank(&self) -> Vec<Vec<ElementId>> {
+        let mut out: Vec<Vec<ElementId>> = self
+            .rank_element_counts
+            .iter()
+            .map(|&c| Vec::with_capacity(c))
+            .collect();
+        for (i, r) in self.element_owner.iter().enumerate() {
+            out[r.index()].push(ElementId::from_index(i));
+        }
+        out
+    }
+
     /// Distinct ranks whose regions intersect the sphere at `center` with
     /// radius `radius`. The owning rank of `center` (if any) is included.
     ///
@@ -411,8 +426,11 @@ mod tests {
     fn elements_of_rank_consistent_with_counts() {
         let m = mesh(3);
         let d = RcbDecomposition::decompose(&m, 4).unwrap();
+        let by_rank = d.elements_by_rank();
+        assert_eq!(by_rank.len(), 4);
         for r in Rank::all(4) {
             assert_eq!(d.elements_of_rank(r).len(), d.elements_on_rank(r));
+            assert_eq!(by_rank[r.index()], d.elements_of_rank(r));
         }
     }
 

@@ -2,9 +2,10 @@
 //!
 //! [`MiniPic`] advances the particle population through the PIC solver loop
 //! on a single process with *simulated ranks*. Off-sample steps advance only
-//! the particle state (interpolation → equation solver → pusher); at every
-//! sample step the full instrumented loop runs rank-by-rank, producing the
-//! trace frame, the ground-truth workload, and kernel timing records.
+//! the particle state (interpolation → equation solver → pusher), untimed
+//! and with the field evaluated once per element node; at every sample
+//! step the full instrumented loop runs rank-by-rank, producing the trace
+//! frame, the ground-truth workload, and kernel timing records.
 
 use crate::config::SimConfig;
 use crate::field::FluidField;
@@ -123,9 +124,7 @@ impl MiniPic {
         let mesh = ElementMesh::new(cfg.domain, cfg.mesh_dims, cfg.order)?;
         let gll = GllRule::new(cfg.order);
         let decomp = RcbDecomposition::decompose(&mesh, cfg.ranks)?;
-        let rank_elements = Rank::all(cfg.ranks)
-            .map(|r| decomp.elements_of_rank(r))
-            .collect();
+        let rank_elements = decomp.elements_by_rank();
         let mapper = build_mapper(cfg.mapping, &mesh, cfg.ranks, cfg.projection_filter)?;
         let field = cfg.scenario.field(cfg.domain);
         let particles = cfg
@@ -225,14 +224,8 @@ impl MiniPic {
         let n = self.particles.len();
         let all: Vec<u32> = (0..n as u32).collect();
         let mut fluid_vel = Vec::new();
-        kernels::interpolate(
-            &ctx,
-            &self.particles.position,
-            &all,
-            self.time,
-            &mut fluid_vel,
-        );
-        let cell = CellList::build(&self.particles.position, neighbor_cell(&self.cfg));
+        kernels::interpolate_by_element(&ctx, &self.particles.position, self.time, &mut fluid_vel);
+        let cell = collision_cells(&self.cfg, &self.particles.position);
         let mut accel = Vec::new();
         kernels::equation_solver(
             &ctx,
@@ -346,7 +339,7 @@ impl MiniPic {
         }
 
         // Phase: equation solver.
-        let cell = CellList::build(&self.particles.position, neighbor_cell(&self.cfg));
+        let cell = collision_cells(&self.cfg, &self.particles.position);
         let mut accel_all = vec![Vec3::ZERO; n];
         let mut eq_seconds = vec![0.0f64; ranks];
         {
@@ -519,30 +512,13 @@ fn migration_counts(prev: &[Rank], cur: &[Rank]) -> Vec<(u32, u32, u32)> {
     out
 }
 
-/// Collision-neighbour cell size: the collision radius, or a small default
-/// when collisions are disabled (the cell list is still used for the
-/// neighbour term's data structure cost).
-fn neighbor_cell(cfg: &SimConfig) -> f64 {
+/// The collision-neighbour cell list the equation solver reads. With
+/// collisions off the solver never queries it, so an empty list stands in.
+fn collision_cells(cfg: &SimConfig, positions: &[Vec3]) -> CellList {
     if cfg.collision_radius > 0.0 {
-        cfg.collision_radius
+        CellList::build(positions, cfg.collision_radius)
     } else {
-        0.05 * cfg.domain.extent().longest_extent_or_one()
-    }
-}
-
-/// Extension trait used by [`neighbor_cell`].
-trait LongestExtentOrOne {
-    fn longest_extent_or_one(&self) -> f64;
-}
-
-impl LongestExtentOrOne for Vec3 {
-    fn longest_extent_or_one(&self) -> f64 {
-        let m = self.x.max(self.y).max(self.z);
-        if m > 0.0 {
-            m
-        } else {
-            1.0
-        }
+        CellList::empty()
     }
 }
 

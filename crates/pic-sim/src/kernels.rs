@@ -8,14 +8,15 @@
 //!
 //! All kernels operate on an explicit *subset* of particle indices — the
 //! particles residing on one simulated rank — so per-rank workloads and
-//! timings fall out naturally.
+//! timings fall out naturally. [`interpolate_by_element`] is not one of
+//! them: it is the untimed motion-step interpolation over all particles.
 
 use crate::field::FluidField;
 use crate::particles::CellList;
 use pic_grid::gll::GllRule;
 use pic_grid::ElementMesh;
 use pic_mapping::{RegionIndex, RegionQueryScratch};
-use pic_types::{Rank, Vec3};
+use pic_types::{ElementId, Rank, Vec3};
 
 /// Shared, read-only context for one solver step.
 pub struct KernelContext<'a> {
@@ -41,7 +42,7 @@ pub struct KernelContext<'a> {
 
 /// Map a position to its element's reference coordinates in `[-1, 1]³`,
 /// clamping onto the domain first.
-fn reference_coords(mesh: &ElementMesh, p: Vec3) -> (pic_types::ElementId, Vec3) {
+fn reference_coords(mesh: &ElementMesh, p: Vec3) -> (ElementId, Vec3) {
     let domain = mesh.domain();
     let q = p.clamp(domain.min, domain.max);
     let e = mesh
@@ -97,6 +98,110 @@ pub fn interpolate(
             }
         }
         out.push(u);
+    }
+}
+
+/// Motion-step interpolation: the fluid velocity at *every* particle,
+/// bit-identical to [`interpolate`] over the full index range, but with the
+/// field evaluated once per element node instead of once per particle.
+///
+/// Two interpolations exist because they serve different ends.
+/// [`interpolate`] is an instrumented kernel: sample steps time it per
+/// rank, and in wall-clock mode its per-particle field evaluation is the
+/// cost the performance models learn from, so its body must not change.
+/// This version runs only in the untimed motion steps between samples,
+/// where nothing is measured and only the particle state matters.
+/// [`interpolate`] is its bit-identity reference.
+///
+/// The particles are bucketed by containing element with a counting sort.
+/// The sorted order is cut into one run of roughly equal *particle count*
+/// per worker of [`pic_types::pool::install`]; an element count split would
+/// hand one worker nearly all the work when the particles are concentrated
+/// in a few elements. Each worker walks its run element by element, fills
+/// its one `N³` buffer with that element's node velocities, and interpolates
+/// the element's particles from the buffer with the loop order and
+/// arithmetic of [`interpolate`]. Scratch memory is `O(particles)` (the
+/// order and the per-run results) plus one node buffer per worker.
+pub fn interpolate_by_element(
+    ctx: &KernelContext<'_>,
+    positions: &[Vec3],
+    time: f64,
+    out: &mut Vec<Vec3>,
+) {
+    use rayon::prelude::*;
+
+    // Counting sort of particle indices by containing element.
+    let order = {
+        let element: Vec<ElementId> = positions
+            .iter()
+            .map(|&p| reference_coords(ctx.mesh, p).0)
+            .collect();
+        let mut cursor = vec![0u32; ctx.mesh.element_count() + 1];
+        for e in &element {
+            cursor[e.index() + 1] += 1;
+        }
+        for e in 1..cursor.len() {
+            cursor[e] += cursor[e - 1];
+        }
+        let mut order = vec![0u32; positions.len()];
+        for (i, e) in element.iter().enumerate() {
+            order[cursor[e.index()] as usize] = i as u32;
+            cursor[e.index()] += 1;
+        }
+        order
+    };
+
+    let n = ctx.gll.len();
+    let interpolate_run = |run: &[u32]| -> Vec<Vec3> {
+        let mut node_vel = Vec::with_capacity(n * n * n);
+        let mut filled = None;
+        let mut lx = Vec::with_capacity(n);
+        let mut ly = Vec::with_capacity(n);
+        let mut lz = Vec::with_capacity(n);
+        let mut vel = Vec::with_capacity(run.len());
+        for &i in run {
+            let (e, xi) = reference_coords(ctx.mesh, positions[i as usize]);
+            if filled != Some(e) {
+                let b = ctx.mesh.element_aabb(e);
+                let h = b.extent();
+                node_vel.clear();
+                for k in 0..n {
+                    let nz = b.min.z + 0.5 * (ctx.gll.nodes[k] + 1.0) * h.z;
+                    for j in 0..n {
+                        let ny = b.min.y + 0.5 * (ctx.gll.nodes[j] + 1.0) * h.y;
+                        for ii in 0..n {
+                            let nx = b.min.x + 0.5 * (ctx.gll.nodes[ii] + 1.0) * h.x;
+                            node_vel.push(ctx.field.velocity(Vec3::new(nx, ny, nz), time));
+                        }
+                    }
+                }
+                filled = Some(e);
+            }
+            ctx.gll.basis_at(xi.x, &mut lx);
+            ctx.gll.basis_at(xi.y, &mut ly);
+            ctx.gll.basis_at(xi.z, &mut lz);
+            let mut u = Vec3::ZERO;
+            for (plane, &wz) in node_vel.chunks_exact(n * n).zip(&lz) {
+                for (row, &wy) in plane.chunks_exact(n).zip(&ly) {
+                    let wyz = wy * wz;
+                    for (&v, &wx) in row.iter().zip(&lx) {
+                        u += v * (wx * wyz);
+                    }
+                }
+            }
+            vel.push(u);
+        }
+        vel
+    };
+    let runs: Vec<Vec<Vec3>> = pic_types::pool::install(|| {
+        let run_len = order.len().div_ceil(rayon::current_num_threads()).max(1);
+        order.par_chunks(run_len).map(interpolate_run).collect()
+    });
+
+    out.clear();
+    out.resize(positions.len(), Vec3::ZERO);
+    for (&i, u) in order.iter().zip(runs.into_iter().flatten()) {
+        out[i as usize] = u;
     }
 }
 
@@ -276,9 +381,10 @@ pub fn fluid_solver(ctx: &KernelContext<'_>, elements: &[pic_types::ElementId], 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::field::{UniformFlow, VortexField};
+    use crate::field::{BlastField, UniformFlow, VortexField};
     use pic_grid::MeshDims;
     use pic_mapping::{ElementMapper, ParticleMapper};
+    use pic_types::rng::SplitMix64;
     use pic_types::Aabb;
 
     fn mesh() -> ElementMesh {
@@ -336,6 +442,58 @@ mod tests {
         interpolate(&c, &positions, &[0], 0.0, &mut out);
         let exact = f.velocity(positions[0], 0.0);
         assert!(out[0].distance(exact) < 1e-9, "{} vs {exact}", out[0]);
+    }
+
+    fn bits(v: &[Vec3]) -> Vec<[u64; 3]> {
+        v.iter().map(|u| u.to_array().map(f64::to_bits)).collect()
+    }
+
+    #[test]
+    fn interpolate_by_element_is_bit_identical_to_interpolate() {
+        let m = mesh();
+        let gll = GllRule::new(m.order());
+        let f = BlastField::hele_shaw_default();
+        let c = ctx(&m, &gll, &f);
+        let mut positions = vec![
+            // On element faces, edges and corners (the element edge is 0.25).
+            Vec3::new(0.25, 0.5, 0.75),
+            Vec3::new(0.5, 0.5, 0.5),
+            Vec3::new(0.75, 0.3, 0.1),
+            // On the domain boundary.
+            Vec3::new(0.0, 0.0, 0.0),
+            Vec3::new(1.0, 1.0, 1.0),
+            Vec3::new(0.0, 0.6, 1.0),
+            // Outside the domain: clamped onto it.
+            Vec3::new(-0.2, 0.5, 0.5),
+            Vec3::new(1.3, -0.1, 2.0),
+        ];
+        // A dense cluster over a few elements, so the per-worker runs split
+        // inside an element.
+        let mut rng = SplitMix64::new(5);
+        positions.extend((0..300).map(|_| {
+            Vec3::new(
+                rng.next_range(0.4, 0.6),
+                rng.next_range(0.4, 0.6),
+                rng.next_range(0.0, 0.2),
+            )
+        }));
+        let all: Vec<u32> = (0..positions.len() as u32).collect();
+        for time in [0.0, 0.37] {
+            let mut want = Vec::new();
+            interpolate(&c, &positions, &all, time, &mut want);
+            for threads in [1, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let mut got = vec![Vec3::ZERO; 3];
+                pool.install(|| interpolate_by_element(&c, &positions, time, &mut got));
+                assert_eq!(bits(&got), bits(&want), "t = {time}, {threads} threads");
+            }
+        }
+        let mut got = vec![Vec3::ZERO; 3];
+        interpolate_by_element(&c, &[], 0.37, &mut got);
+        assert!(got.is_empty());
     }
 
     #[test]

@@ -70,6 +70,12 @@ pub struct CellList {
 }
 
 impl CellList {
+    /// A cell list holding no particles: every neighbour query visits
+    /// nothing.
+    pub fn empty() -> CellList {
+        CellList::build(&[], 1.0)
+    }
+
     /// Build a cell list with cells of edge `cell_size` (must be positive).
     pub fn build(positions: &[Vec3], cell_size: f64) -> CellList {
         assert!(cell_size > 0.0, "cell size must be positive");
