@@ -6,7 +6,7 @@
 //!                      [--stream true] [--filter 0.03] [--mesh 6x6x6 --order 3] [--out dir]
 //! picpredict fit       --records rec.json --out models.json [--strategy linear|auto]
 //! picpredict predict   --trace t.pictrace --models models.json --ranks 128
-//!                      [--mapping bin-based] [--machine quartz|vulcan|localhost]
+//!                      [--mapping bin-based] [--machine quartz|vulcan|localhost|file.json]
 //!                      [--mesh 6x6x6 --order 3] [--filter 0.03] [--sync barrier|neighbor]
 //! picpredict extrapolate --trace t.pictrace --out big.pictrace --particles 100000
 //! ```
@@ -20,19 +20,20 @@
 //! reduction of the trace instead of every sample.
 #![forbid(unsafe_code)]
 
-use pic_des::{MachineSpec, SyncMode};
-use pic_grid::{ElementMesh, MeshDims};
-use pic_mapping::MappingAlgorithm;
-use pic_predict::{
-    build_schedule, kernel_models::FitStrategy, predict_application_with_stats,
-    predict_kernel_seconds, KernelModels,
-};
+use pic_des::MachineSpec;
+use pic_grid::ElementMesh;
+use pic_predict::request::PredictError::{Gate, Refused};
+use pic_predict::request::{self, parse_mapping, PredictSpec};
+use pic_predict::{kernel_models::FitStrategy, KernelModels};
 use pic_sim::{MiniPic, Recorder, SimConfig};
 use pic_trace::codec;
+// whole-file loads sniff the magic: raw `PICTRC01` or compact `PICTRC02`
+use pic_trace::compact::load_file_any as load_trace;
 use pic_types::{Aabb, PicError, Result};
 use pic_workload::generator::{self, WorkloadConfig};
 use pic_workload::metrics;
 use std::collections::HashMap;
+use std::str::FromStr;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,7 +57,8 @@ const USAGE: &str = "usage:
   picpredict workload --trace t.pictrace --ranks N --mapping M [--stream true] [--filter F] [--mesh AxBxC --order K] [--out DIR]
   picpredict benchmark --out rec.json [--wallclock true] [--order K] [--filter F]
   picpredict fit --records rec.json --out models.json [--strategy linear|auto]
-  picpredict predict --trace t.pictrace --models models.json --ranks N [--mapping M] [--machine NAME] [--sync barrier|neighbor] [--mesh AxBxC --order K] [--filter F]
+  picpredict predict --trace t.pictrace --models models.json --ranks N [--mapping M] [--filter F] [--sync barrier|neighbor]
+                     [--machine quartz|quartz-like|vulcan|vulcan-like|localhost|FILE.json] [--mesh AxBxC --order K]
   picpredict extrapolate --trace t.pictrace --out big.pictrace --particles N [--seed S]
   picpredict study scalability --trace T --ranks 16,32,64 --mapping M [--filter F] [--mesh AxBxC --order K]
   picpredict study bins --trace T --filter F
@@ -69,6 +71,8 @@ const USAGE: &str = "usage:
                       [--plan-out plan.json] [--out workload.json]
   picpredict compact --trace t.pictrace --out t.pictrcz [--precision f64|f32]
   picpredict serve [--addr 127.0.0.1:7070] [--budget-mb 512] [--read-timeout-ms 2000] [--max-body-mb 256]
+
+boolean flags (--stream, --ghosts, --wallclock, --pipeline, --serve, --des): true|false; a bare last flag means true
 
 global flags:
   --threads N    run the command under an N-thread pool (default: shared
@@ -103,57 +107,93 @@ fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str
         .ok_or_else(|| PicError::config(format!("missing required flag --{key}")))
 }
 
-fn parse_mapping(s: &str) -> Result<MappingAlgorithm> {
-    serde_json::from_str(&format!("\"{s}\""))
-        .map_err(|_| PicError::config(format!("unknown mapping '{s}'")))
+/// `--key` as given, or `default` when the flag is absent.
+fn flag_str<'a>(flags: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
+    flags.get(key).map_or(default, String::as_str)
 }
 
+/// Parse `s`, the value of `--key`; a malformed value is a
+/// configuration error that names the flag.
+fn parse_value<T: FromStr>(key: &str, s: &str) -> Result<T> {
+    s.parse().map_err(|_| {
+        let want = std::any::type_name::<T>();
+        PicError::config(format!("--{key}: cannot parse '{s}' as {want}"))
+    })
+}
+
+/// `--key` parsed as `T`, or `default` when the flag is absent.
+fn flag<T: FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> Result<T> {
+    flags.get(key).map_or(Ok(default), |s| parse_value(key, s))
+}
+
+/// `--key` parsed as `T`, if given.
+fn opt_flag<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<Option<T>> {
+    flags.get(key).map(|s| parse_value(key, s)).transpose()
+}
+
+/// `--key` as a positive integer, if given.
+fn positive<T: FromStr + PartialOrd + Default>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>> {
+    match opt_flag(flags, key)? {
+        Some(n) if n <= T::default() => Err(PicError::config(format!(
+            "--{key} must be a positive integer"
+        ))),
+        n => Ok(n),
+    }
+}
+
+/// Boolean `--key true|false`; a bare `--key` at the end of the line
+/// means `true`.
+fn switch(flags: &HashMap<String, String>, key: &str, default: bool) -> Result<bool> {
+    match flags.get(key).map(String::as_str) {
+        Some("") => Ok(true),
+        _ => flag(flags, key, default),
+    }
+}
+
+/// `--precision f32|f64`, or `default` when absent.
+fn precision(flags: &HashMap<String, String>, default: &str) -> Result<codec::Precision> {
+    match flag_str(flags, "precision", default) {
+        "f32" => Ok(codec::Precision::F32),
+        "f64" => Ok(codec::Precision::F64),
+        other => Err(PicError::config(format!(
+            "--precision must be f32 or f64, not '{other}'"
+        ))),
+    }
+}
+
+/// A comma-separated list, each entry parsed as `T`; `what` names the flag.
+fn parse_list<T: FromStr>(s: &str, what: &str) -> Result<Vec<T>> {
+    s.split(',').map(|p| parse_value(what, p.trim())).collect()
+}
+
+/// `value` as pretty-printed JSON; `what` names it in the error.
+fn pretty_json<T: serde::Serialize>(value: &T, what: &str) -> Result<String> {
+    serde_json::to_string_pretty(value)
+        .map_err(|e| PicError::config(format!("cannot serialize {what}: {e}")))
+}
+
+/// `--machine`: a preset name, else a machine JSON file (the service
+/// accepts presets only).
 fn parse_machine(s: &str) -> Result<MachineSpec> {
-    match s {
-        "quartz" | "quartz-like" => Ok(MachineSpec::quartz_like()),
-        "vulcan" | "vulcan-like" => Ok(MachineSpec::vulcan_like()),
-        "localhost" => Ok(MachineSpec::localhost(8)),
-        path => {
-            let text = std::fs::read_to_string(path).map_err(|e| {
-                PicError::config(format!(
-                    "machine '{s}' is not a preset and not a readable file: {e}"
-                ))
-            })?;
-            serde_json::from_str(&text)
-                .map_err(|e| PicError::config(format!("bad machine JSON in {path}: {e}")))
-        }
+    if let Ok(preset) = request::machine_preset(s) {
+        return Ok(preset);
     }
+    let text = std::fs::read_to_string(s).map_err(|e| {
+        PicError::config(format!(
+            "machine '{s}' is not a preset and not a readable file: {e}"
+        ))
+    })?;
+    serde_json::from_str(&text)
+        .map_err(|e| PicError::config(format!("bad machine JSON in {s}: {e}")))
 }
 
-/// Load a whole trace file in either on-disk format, sniffed by magic —
-/// raw `PICTRC01` or compact delta-encoded `PICTRC02`.
-fn load_trace(path: &str) -> Result<pic_trace::ParticleTrace> {
-    pic_trace::compact::load_file_any(path)
-}
-
+/// `--mesh AxBxC [--order K]` over `domain`, if given.
 fn parse_mesh(flags: &HashMap<String, String>, domain: Aabb) -> Result<Option<ElementMesh>> {
-    let Some(spec) = flags.get("mesh") else {
-        return Ok(None);
-    };
-    let dims: Vec<usize> = spec
-        .split('x')
-        .map(|p| {
-            p.parse()
-                .map_err(|_| PicError::config(format!("bad mesh spec '{spec}'")))
-        })
-        .collect::<Result<_>>()?;
-    if dims.len() != 3 {
-        return Err(PicError::config("mesh spec must be AxBxC"));
-    }
-    let order: usize = flags
-        .get("order")
-        .map(|s| s.parse().unwrap_or(3))
-        .unwrap_or(3);
-    Ok(Some(ElementMesh::new(
-        domain,
-        MeshDims::new(dims[0], dims[1], dims[2]),
-        order,
-    )?))
+    let order = flag(flags, "order", request::DEFAULT_ORDER)?;
+    request::parse_mesh(flags.get("mesh").map(String::as_str), order, domain)
 }
 
 fn dispatch(args: &[String]) -> Result<()> {
@@ -162,12 +202,7 @@ fn dispatch(args: &[String]) -> Result<()> {
     // Global `--threads N`: run the whole command under a pool of that
     // size. Without it, the shared-pool policy applies (pool sized from
     // `RAYON_NUM_THREADS`, falling back to the machine's parallelism).
-    if let Some(spec) = flags.get("threads") {
-        let n: usize = spec
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| PicError::config("--threads must be a positive integer"))?;
+    if let Some(n) = positive::<usize>(&flags, "threads")? {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build()
@@ -204,6 +239,7 @@ fn dispatch_cmd(cmd: &str, positional: &[String], flags: &HashMap<String, String
 fn cmd_run(flags: &HashMap<String, String>) -> Result<()> {
     let cfg_path = required(flags, "config")?;
     let trace_path = required(flags, "trace")?;
+    let precision = precision(flags, "f64")?;
     let cfg = SimConfig::from_json(&std::fs::read_to_string(cfg_path)?)?;
     eprintln!(
         "running: {} particles / {} elements / {} ranks / {} mapping / {} steps",
@@ -219,10 +255,6 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<()> {
         "application finished in {:.2} s",
         t0.elapsed().as_secs_f64()
     );
-    let precision = match flags.get("precision").map(|s| s.as_str()) {
-        Some("f32") => codec::Precision::F32,
-        _ => codec::Precision::F64,
-    };
     codec::save_file(&out.trace, trace_path, precision)?;
     eprintln!(
         "trace: {} samples x {} particles -> {}",
@@ -279,19 +311,13 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
             serde_json::from_str(&std::fs::read_to_string(path)?)
                 .map_err(|e| PicError::config(format!("bad workload JSON in {path}: {e}")))?;
         // the conservation reference: explicit flag, else the trace header
-        let expected: Option<u64> = match flags.get("particles") {
-            Some(n) => Some(
-                n.parse()
-                    .map_err(|_| PicError::config("--particles must be an integer"))?,
-            ),
-            None => match flags.get("trace") {
-                Some(tp) => {
-                    let file = std::fs::File::open(tp)?;
-                    let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
-                    Some(reader.meta().particle_count as u64)
-                }
-                None => None,
-            },
+        let expected: Option<u64> = match (opt_flag(flags, "particles")?, flags.get("trace")) {
+            (None, Some(tp)) => {
+                let file = std::fs::File::open(tp)?;
+                let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
+                Some(reader.meta().particle_count as u64)
+            }
+            (n, _) => n,
         };
         let violations = pic_analysis::check_workload(&w, expected);
         if violations.is_empty() {
@@ -337,7 +363,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
         );
     }
 
-    if flags.get("pipeline").map(|v| v != "false").unwrap_or(false) {
+    if switch(flags, "pipeline", false)? {
         ran_any = true;
         let stats = pic_analysis::verify_streaming_shutdown()
             .map_err(|e| PicError::model(format!("pipeline interleaving check failed: {e}")))?;
@@ -347,7 +373,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
         );
     }
 
-    if flags.get("serve").map(|v| v != "false").unwrap_or(false) {
+    if switch(flags, "serve", false)? {
         ran_any = true;
         // Exhaustive exploration of the three serve concurrency protocols
         // over their configuration matrices — any deadlock, liveness
@@ -393,7 +419,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
         println!("serve mutants: {caught}/{} caught", outcomes.len());
     }
 
-    if flags.get("des").map(|v| v != "false").unwrap_or(false) {
+    if switch(flags, "des", false)? {
         ran_any = true;
         // Batching soundness for the DES barrier fast path: every causal
         // processing order of a bulk-synchronous step (compute completions,
@@ -440,16 +466,11 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
 
 fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
     let trace_path = required(flags, "trace")?;
-    let ranks: usize = required(flags, "ranks")?
-        .parse()
-        .map_err(|_| PicError::config("--ranks must be an integer"))?;
+    let ranks = parse_value("ranks", required(flags, "ranks")?)?;
     let mapping = parse_mapping(required(flags, "mapping")?)?;
-    let filter: f64 = flags
-        .get("filter")
-        .map(|s| s.parse().unwrap_or(0.03))
-        .unwrap_or(0.03);
+    let filter = flag(flags, "filter", request::DEFAULT_FILTER)?;
     let cfg = WorkloadConfig::new(ranks, mapping, filter);
-    let streaming = flags.get("stream").map(|v| v != "false").unwrap_or(false);
+    let streaming = switch(flags, "stream", false)?;
     let t0 = std::time::Instant::now();
     // `--stream` replays the trace through the bounded pipeline without
     // ever loading it whole — the path for traces larger than memory. A
@@ -476,9 +497,7 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
     // cleanly) must not propagate silently into predictions
     pic_analysis::assert_workload_valid(&w, Some(particles))?;
     if let Some(stats) = &ingest {
-        let json = serde_json::to_string_pretty(stats)
-            .map_err(|e| PicError::config(format!("cannot serialize ingest stats: {e}")))?;
-        println!("ingest stats: {json}");
+        println!("ingest stats: {}", pretty_json(stats, "ingest stats")?);
     }
 
     let summary = metrics::summarize(&w);
@@ -510,9 +529,7 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
         }
         std::fs::write(format!("{dir}/comm.csv"), comm)?;
         // the full workload as JSON — the input format of `picpredict check`
-        let json = serde_json::to_string_pretty(&w)
-            .map_err(|e| PicError::config(format!("cannot serialize workload: {e}")))?;
-        std::fs::write(format!("{dir}/workload.json"), json)?;
+        std::fs::write(format!("{dir}/workload.json"), pretty_json(&w, "workload")?)?;
         eprintln!("matrices written to {dir}/");
     }
     Ok(())
@@ -524,21 +541,9 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
 /// nearly constant across ranks.
 fn cmd_benchmark(flags: &HashMap<String, String>) -> Result<()> {
     let mut sweep = pic_sim::SweepConfig::default();
-    if let Some(order) = flags.get("order") {
-        sweep.order = order
-            .parse()
-            .map_err(|_| PicError::config("--order must be an integer"))?;
-    }
-    if let Some(filter) = flags.get("filter") {
-        sweep.projection_filter = filter
-            .parse()
-            .map_err(|_| PicError::config("--filter must be a number"))?;
-    }
-    if flags
-        .get("wallclock")
-        .map(|v| v != "false")
-        .unwrap_or(false)
-    {
+    sweep.order = flag(flags, "order", sweep.order)?;
+    sweep.projection_filter = flag(flags, "filter", sweep.projection_filter)?;
+    if switch(flags, "wallclock", false)? {
         sweep.timing = pic_sim::config::TimingMode::WallClock;
     }
     eprintln!(
@@ -578,123 +583,48 @@ fn cmd_fit(flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
+/// One gated prediction through [`request::predict_point`]: the JSON
+/// document on stdout is the `POST /predict` response body, pretty-printed.
 fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
+    let ranks = parse_value("ranks", required(flags, "ranks")?)?;
+    let mapping = parse_mapping(flag_str(flags, "mapping", request::DEFAULT_MAPPING))?;
+    let filter = flag(flags, "filter", request::DEFAULT_FILTER)?;
+    let machine = parse_machine(flag_str(flags, "machine", request::DEFAULT_MACHINE))?;
+    let sync = request::parse_sync(flag_str(flags, "sync", request::DEFAULT_SYNC))?;
+    let order = flag(flags, "order", request::DEFAULT_ORDER)?;
     let trace = load_trace(required(flags, "trace")?)?;
     let models = KernelModels::from_json(&std::fs::read_to_string(required(flags, "models")?)?)?;
-    let ranks: usize = required(flags, "ranks")?
-        .parse()
-        .map_err(|_| PicError::config("--ranks must be an integer"))?;
-    let mapping = parse_mapping(
-        flags
-            .get("mapping")
-            .map(|s| s.as_str())
-            .unwrap_or("bin-based"),
-    )?;
-    let filter: f64 = flags
-        .get("filter")
-        .map(|s| s.parse().unwrap_or(0.03))
-        .unwrap_or(0.03);
-    let machine = parse_machine(flags.get("machine").map(|s| s.as_str()).unwrap_or("quartz"))?;
-    let sync = match flags.get("sync").map(|s| s.as_str()) {
-        Some("neighbor") => SyncMode::NeighborSync,
-        _ => SyncMode::BulkSynchronous,
-    };
-    let mesh = parse_mesh(flags, trace.meta().domain)?;
-    let order = flags
-        .get("order")
-        .map(|s| s.parse().unwrap_or(3))
-        .unwrap_or(3);
-
-    let wcfg = WorkloadConfig::new(ranks, mapping, filter);
-    let w = generator::generate_with_mesh(&trace, &wcfg, mesh.as_ref())?;
-    // fluid share: uniform unless a mesh is given
-    let elements: Vec<u32> = match &mesh {
-        Some(m) => {
-            let d = pic_grid::RcbDecomposition::decompose(m, ranks)?;
-            d.element_counts().iter().map(|&c| c as u32).collect()
-        }
-        None => vec![0; ranks],
-    };
-    let predicted = predict_kernel_seconds(&w, &models, &elements, order, filter);
-    let schedule = build_schedule(
-        &w,
-        &predicted,
-        trace.meta().sample_interval,
-        pic_predict::pipeline::bytes_per_particle(),
-    );
-    let (timeline, des) = predict_application_with_stats(&schedule, &machine, sync)?;
-    // machine-readable result on stdout, human summary on stderr
-    #[derive(serde::Serialize)]
-    struct PredictOutput {
-        machine: String,
-        sync: SyncMode,
-        predicted_seconds: f64,
-        mean_idle_fraction: f64,
-        events_processed: u64,
-        des_queue: &'static str,
-        des_barrier_fast_path: bool,
-        des_wall_seconds: f64,
-        samples: usize,
-        ranks: usize,
-    }
-    let out = PredictOutput {
-        machine: machine.name.clone(),
+    let spec = PredictSpec {
+        workload: WorkloadConfig::new(ranks, mapping, filter),
+        machine,
         sync,
-        predicted_seconds: timeline.total_seconds,
-        mean_idle_fraction: timeline.mean_idle_fraction(),
-        events_processed: des.events_processed,
-        des_queue: des.queue,
-        des_barrier_fast_path: des.barrier_fast_path,
-        des_wall_seconds: des.wall_seconds,
-        samples: schedule.len(),
-        ranks,
+        mesh: parse_mesh(flags, trace.meta().domain)?,
+        order,
     };
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&out)
-            .map_err(|e| PicError::config(format!("cannot serialize prediction: {e}")))?
-    );
-    eprintln!("machine:             {}", machine.name);
-    eprintln!("sync mode:           {sync:?}");
-    eprintln!("predicted time:      {:.6} s", timeline.total_seconds);
-    eprintln!(
-        "mean idle fraction:  {:.2}%",
-        100.0 * timeline.mean_idle_fraction()
-    );
+    let p =
+        request::predict_point(&trace, &models, &spec, None).map_err(|(Refused(e) | Gate(e))| e)?;
+    // machine-readable result on stdout, human summary on stderr
+    println!("{}", pretty_json(&p, "prediction")?);
+    eprintln!("machine:             {}", p.machine);
+    eprintln!("sync mode:           {}", p.sync);
+    eprintln!("predicted time:      {:.6} s", p.predicted_seconds);
+    eprintln!("mean idle fraction:  {:.2}%", 100.0 * p.mean_idle_fraction);
     eprintln!(
         "events processed:    {} (queue={}, {:.3} s simulator wall time)",
-        des.events_processed, des.queue, des.wall_seconds
+        p.events_processed, p.des_queue, p.des_wall_seconds
     );
     Ok(())
-}
-
-fn parse_usize_list(s: &str, what: &str) -> Result<Vec<usize>> {
-    s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse()
-                .map_err(|_| PicError::config(format!("bad {what} entry '{p}'")))
-        })
-        .collect()
 }
 
 /// The paper's three analysis drivers plus the sampling-frequency study,
 /// straight from the command line.
 fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
+    let filter = flag(flags, "filter", request::DEFAULT_FILTER)?;
+    let mapping = parse_mapping(flag_str(flags, "mapping", request::DEFAULT_MAPPING))?;
     let trace = load_trace(required(flags, "trace")?)?;
-    let filter: f64 = flags
-        .get("filter")
-        .map(|s| s.parse().unwrap_or(0.03))
-        .unwrap_or(0.03);
     match kind {
         "scalability" => {
-            let ranks = parse_usize_list(required(flags, "ranks")?, "ranks")?;
-            let mapping = parse_mapping(
-                flags
-                    .get("mapping")
-                    .map(|s| s.as_str())
-                    .unwrap_or("bin-based"),
-            )?;
+            let ranks = parse_list(required(flags, "ranks")?, "ranks")?;
             let mesh = parse_mesh(flags, trace.meta().domain)?;
             let pts = pic_predict::studies::scalability_study(
                 &trace,
@@ -725,22 +655,8 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
             println!("optimal processor count: {}", study.optimal_rank_count());
         }
         "sampling" => {
-            let ranks: usize = required(flags, "ranks")?
-                .parse()
-                .map_err(|_| PicError::config("--ranks must be an integer"))?;
-            let mapping = parse_mapping(
-                flags
-                    .get("mapping")
-                    .map(|s| s.as_str())
-                    .unwrap_or("bin-based"),
-            )?;
-            let strides = parse_usize_list(
-                flags
-                    .get("strides")
-                    .map(|s| s.as_str())
-                    .unwrap_or("1,2,4,8"),
-                "strides",
-            )?;
+            let ranks = parse_value("ranks", required(flags, "ranks")?)?;
+            let strides = parse_list(flag_str(flags, "strides", "1,2,4,8"), "strides")?;
             let mesh = parse_mesh(flags, trace.meta().domain)?;
             let pts = pic_predict::studies::sampling_frequency_study(
                 &trace,
@@ -770,16 +686,6 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
-fn parse_f64_list(s: &str, what: &str) -> Result<Vec<f64>> {
-    s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse()
-                .map_err(|_| PicError::config(format!("bad {what} entry '{p}'")))
-        })
-        .collect()
-}
-
 /// The multi-configuration sweep: replay the trace once, emit the whole
 /// grid. Gated on the pic-analysis invariant catalog over every grid
 /// point — a grid that fails verification is never written. The grid
@@ -788,26 +694,23 @@ fn parse_f64_list(s: &str, what: &str) -> Result<Vec<f64>> {
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
     let trace_path = required(flags, "trace")?;
     let spec = pic_predict::SweepGridSpec {
-        ranks: parse_usize_list(required(flags, "ranks")?, "ranks")?,
-        mappings: flags
-            .get("mappings")
-            .map(|s| s.as_str())
-            .unwrap_or("bin-based")
+        ranks: parse_list(required(flags, "ranks")?, "ranks")?,
+        mappings: flag_str(flags, "mappings", request::DEFAULT_MAPPING)
             .split(',')
             .map(|p| parse_mapping(p.trim()))
             .collect::<Result<_>>()?,
-        filters: parse_f64_list(
-            flags.get("filters").map(|s| s.as_str()).unwrap_or("0.03"),
-            "filters",
-        )?,
+        filters: match flags.get("filters") {
+            Some(s) => parse_list(s, "filters")?,
+            None => vec![request::DEFAULT_FILTER],
+        },
         strides: match flags.get("strides") {
-            Some(s) => parse_usize_list(s, "strides")?,
+            Some(s) => parse_list(s, "strides")?,
             None => vec![1],
         },
-        compute_ghosts: flags.get("ghosts").map(|v| v != "false").unwrap_or(true),
+        compute_ghosts: switch(flags, "ghosts", true)?,
     };
     spec.validate()?;
-    let streaming = flags.get("stream").map(|v| v != "false").unwrap_or(false);
+    let streaming = switch(flags, "stream", false)?;
     let points = spec.points();
 
     let t0 = std::time::Instant::now();
@@ -891,40 +794,16 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
 /// so the reduction gate (exact replay of held-out samples, compared on
 /// peak load) is the acceptance check.
 fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
-    let trace = load_trace(required(flags, "trace")?)?;
-    let ranks: usize = required(flags, "ranks")?
-        .parse()
-        .map_err(|_| PicError::config("--ranks must be an integer"))?;
+    let ranks = parse_value("ranks", required(flags, "ranks")?)?;
     let mapping = parse_mapping(required(flags, "mapping")?)?;
-    let filter: f64 = flags
-        .get("filter")
-        .map(|s| s.parse().unwrap_or(0.03))
-        .unwrap_or(0.03);
+    let filter = flag(flags, "filter", request::DEFAULT_FILTER)?;
     let cfg = WorkloadConfig::new(ranks, mapping, filter);
-    let mesh = parse_mesh(flags, trace.meta().domain)?;
 
     let mut opts = pic_predict::SimpointOptions::default();
-    if let Some(k) = flags.get("k") {
-        opts.k = Some(
-            k.parse()
-                .map_err(|_| PicError::config("--k must be an integer"))?,
-        );
-    }
-    if let Some(km) = flags.get("k-max") {
-        opts.k_max = km
-            .parse()
-            .map_err(|_| PicError::config("--k-max must be an integer"))?;
-    }
-    if let Some(seed) = flags.get("seed") {
-        opts.seed = seed
-            .parse()
-            .map_err(|_| PicError::config("--seed must be an integer"))?;
-    }
-    if let Some(bins) = flags.get("bins") {
-        opts.features.bins_per_axis = bins
-            .parse()
-            .map_err(|_| PicError::config("--bins must be an integer"))?;
-    }
+    opts.k = opt_flag(flags, "k")?;
+    opts.k_max = flag(flags, "k-max", opts.k_max)?;
+    opts.seed = flag(flags, "seed", opts.seed)?;
+    opts.features.bins_per_axis = flag(flags, "bins", opts.features.bins_per_axis)?;
     if let Some(f) = flags.get("features") {
         opts.spatial_only = match f.as_str() {
             "spatial" => true,
@@ -933,16 +812,10 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
         };
     }
     let mut budget = pic_analysis::ReductionBudget::default();
-    if let Some(b) = flags.get("budget") {
-        budget.max_peak_rel_error = b
-            .parse()
-            .map_err(|_| PicError::config("--budget must be a number"))?;
-    }
-    if let Some(h) = flags.get("holdout") {
-        budget.holdout = h
-            .parse()
-            .map_err(|_| PicError::config("--holdout must be an integer"))?;
-    }
+    budget.max_peak_rel_error = flag(flags, "budget", budget.max_peak_rel_error)?;
+    budget.holdout = flag(flags, "holdout", budget.holdout)?;
+    let trace = load_trace(required(flags, "trace")?)?;
+    let mesh = parse_mesh(flags, trace.meta().domain)?;
 
     let t0 = std::time::Instant::now();
     let plan = pic_predict::build_simpoint_plan(&trace, &opts)?;
@@ -974,15 +847,11 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
         100.0 * summary.resource_utilization
     );
     if let Some(path) = flags.get("plan-out") {
-        let json = serde_json::to_string_pretty(&plan)
-            .map_err(|e| PicError::config(format!("cannot serialize plan: {e}")))?;
-        std::fs::write(path, json)?;
+        std::fs::write(path, pretty_json(&plan, "plan")?)?;
         eprintln!("reduction plan -> {path}");
     }
     if let Some(path) = flags.get("out") {
-        let json = serde_json::to_string_pretty(&w)
-            .map_err(|e| PicError::config(format!("cannot serialize workload: {e}")))?;
-        std::fs::write(path, json)?;
+        std::fs::write(path, pretty_json(&w, "workload")?)?;
         eprintln!("reconstructed workload -> {path}");
     }
     Ok(())
@@ -995,11 +864,8 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
 fn cmd_compact(flags: &HashMap<String, String>) -> Result<()> {
     let in_path = required(flags, "trace")?;
     let out_path = required(flags, "out")?;
+    let precision = precision(flags, "f32")?;
     let trace = load_trace(in_path)?;
-    let precision = match flags.get("precision").map(|s| s.as_str()) {
-        Some("f64") => codec::Precision::F64,
-        _ => codec::Precision::F32,
-    };
     let in_bytes = std::fs::metadata(in_path)?.len();
     let out_bytes = pic_trace::compact::save_file(&trace, out_path, precision)?;
     // round-trip gate: the file we just wrote must decode to the same
@@ -1026,35 +892,18 @@ fn cmd_compact(flags: &HashMap<String, String>) -> Result<()> {
 /// The resident prediction service: bind, announce, serve until a
 /// `POST /shutdown` arrives, then drain connections and exit cleanly.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<()> {
-    let mut cfg = pic_predict::ServeConfig::default();
-    if let Some(addr) = flags.get("addr") {
-        cfg.addr = addr.clone();
-    } else {
-        cfg.addr = "127.0.0.1:7070".to_string();
+    let mut cfg = pic_predict::ServeConfig {
+        addr: flag_str(flags, "addr", "127.0.0.1:7070").to_string(),
+        ..Default::default()
+    };
+    if let Some(mb) = positive::<usize>(flags, "budget-mb")? {
+        cfg.budget_bytes = mb << 20;
     }
-    if let Some(mb) = flags.get("budget-mb") {
-        let n: usize = mb
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| PicError::config("--budget-mb must be a positive integer"))?;
-        cfg.budget_bytes = n << 20;
+    if let Some(ms) = positive(flags, "read-timeout-ms")? {
+        cfg.read_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(ms) = flags.get("read-timeout-ms") {
-        let n: u64 = ms
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| PicError::config("--read-timeout-ms must be a positive integer"))?;
-        cfg.read_timeout = std::time::Duration::from_millis(n);
-    }
-    if let Some(mb) = flags.get("max-body-mb") {
-        let n: u64 = mb
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| PicError::config("--max-body-mb must be a positive integer"))?;
-        cfg.max_body_bytes = n << 20;
+    if let Some(mb) = positive::<u64>(flags, "max-body-mb")? {
+        cfg.max_body_bytes = mb << 20;
     }
     let server = pic_predict::Server::start(cfg)?;
     println!("picpredict serve listening on http://{}", server.addr());
@@ -1066,15 +915,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<()> {
 }
 
 fn cmd_extrapolate(flags: &HashMap<String, String>) -> Result<()> {
-    let trace = load_trace(required(flags, "trace")?)?;
     let out = required(flags, "out")?;
-    let particles: usize = required(flags, "particles")?
-        .parse()
-        .map_err(|_| PicError::config("--particles must be an integer"))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().unwrap_or(1))
-        .unwrap_or(1);
+    let particles: usize = parse_value("particles", required(flags, "particles")?)?;
+    let seed = flag(flags, "seed", 1u64)?;
+    let trace = load_trace(required(flags, "trace")?)?;
     let big = pic_trace::extrapolate(&trace, particles, seed)?;
     codec::save_file(&big, out, codec::Precision::F32)?;
     println!(
@@ -1089,6 +933,7 @@ fn cmd_extrapolate(flags: &HashMap<String, String>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pic_mapping::MappingAlgorithm;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1166,17 +1011,130 @@ mod tests {
 
     #[test]
     fn usize_list_parsing() {
-        assert_eq!(parse_usize_list("1,2, 4", "x").unwrap(), vec![1, 2, 4]);
-        assert!(parse_usize_list("1,a", "x").is_err());
+        assert_eq!(parse_list::<usize>("1,2, 4", "x").unwrap(), vec![1, 2, 4]);
+        assert!(parse_list::<usize>("1,a", "x").is_err());
     }
 
     #[test]
     fn f64_list_parsing() {
         assert_eq!(
-            parse_f64_list("0.01, 0.02,0.4", "x").unwrap(),
+            parse_list::<f64>("0.01, 0.02,0.4", "x").unwrap(),
             vec![0.01, 0.02, 0.4]
         );
-        assert!(parse_f64_list("0.01,oops", "x").is_err());
+        assert!(parse_list::<f64>("0.01,oops", "x").is_err());
+    }
+
+    /// Run `args` and return its configuration error, which must name
+    /// `--flag`. Every command checks its flags before it opens a file,
+    /// so the missing trace paths below are never reached.
+    fn flag_error(args: &str, flag: &str) -> String {
+        let err = dispatch(&argv(args)).unwrap_err().to_string();
+        assert!(err.contains(&format!("--{flag}")), "{args}: {err}");
+        err
+    }
+
+    #[test]
+    fn filter_flag_rejects_malformed_values() {
+        for cmd in [
+            "workload --trace none --ranks 4 --mapping bin-based",
+            "predict --trace none --models none --ranks 4",
+            "study bins --trace none",
+            "simpoint --trace none --ranks 4 --mapping bin-based",
+        ] {
+            flag_error(&format!("{cmd} --filter abc"), "filter");
+        }
+        let (_, flags) = parse_flags(&argv("x --filter 0.05"));
+        assert_eq!(flag(&flags, "filter", 0.03).unwrap(), 0.05);
+        assert_eq!(flag(&HashMap::new(), "filter", 0.03).unwrap(), 0.03);
+    }
+
+    #[test]
+    fn order_flag_rejects_malformed_values() {
+        flag_error(
+            "predict --trace none --models none --ranks 4 --order three",
+            "order",
+        );
+        let (_, flags) = parse_flags(&argv("x --mesh 4x4x4 --order 2.5"));
+        let err = parse_mesh(&flags, Aabb::unit()).unwrap_err().to_string();
+        assert!(err.contains("--order"), "{err}");
+    }
+
+    #[test]
+    fn seed_flag_rejects_malformed_values() {
+        flag_error(
+            "extrapolate --trace none --out none --particles 9 --seed -1",
+            "seed",
+        );
+        flag_error(
+            "simpoint --trace none --ranks 4 --mapping bin-based --seed x",
+            "seed",
+        );
+    }
+
+    #[test]
+    fn sync_flag_accepts_only_barrier_or_neighbor() {
+        for bad in ["bogus", "bulk-synchronous", "Barrier"] {
+            let err = dispatch(&argv(&format!(
+                "predict --trace none --models none --ranks 4 --sync {bad}"
+            )))
+            .unwrap_err();
+            assert!(err.to_string().contains("sync mode"), "{err}");
+        }
+        // the accepted names get past the flag and fail on the trace
+        for ok in ["barrier", "neighbor"] {
+            let err = dispatch(&argv(&format!(
+                "predict --trace /nonexistent/t --models none --ranks 4 --sync {ok}"
+            )))
+            .unwrap_err();
+            assert!(!err.to_string().contains("sync"), "{err}");
+        }
+    }
+
+    #[test]
+    fn precision_flag_accepts_only_f32_or_f64() {
+        for cmd in [
+            "run --config none --trace none",
+            "compact --trace none --out none",
+        ] {
+            for bad in ["F64", "f16", ""] {
+                flag_error(&format!("{cmd} --precision {bad}"), "precision");
+            }
+        }
+        let (_, flags) = parse_flags(&argv("x --precision f64"));
+        assert_eq!(precision(&flags, "f32").unwrap(), codec::Precision::F64);
+        let (_, flags) = parse_flags(&argv("x"));
+        assert_eq!(precision(&flags, "f32").unwrap(), codec::Precision::F32);
+    }
+
+    #[test]
+    fn boolean_flags_accept_only_true_or_false() {
+        for (cmd, key) in [
+            (
+                "workload --trace none --ranks 4 --mapping bin-based",
+                "stream",
+            ),
+            ("sweep --trace none --ranks 4", "stream"),
+            ("sweep --trace none --ranks 4", "ghosts"),
+            ("benchmark", "wallclock"),
+            ("check", "pipeline"),
+            ("check", "serve"),
+            ("check", "des"),
+        ] {
+            flag_error(&format!("{cmd} --{key} yes"), key);
+        }
+        // `--stream --out d` no longer reads `--out` as "stream on"
+        flag_error(
+            "workload --trace none --ranks 4 --mapping bin-based --stream --out d",
+            "stream",
+        );
+        let (_, flags) = parse_flags(&argv("x --a true --b false --c"));
+        assert!(switch(&flags, "a", false).unwrap());
+        assert!(!switch(&flags, "b", true).unwrap());
+        assert!(switch(&flags, "c", false).unwrap(), "bare trailing flag");
+        assert!(
+            switch(&flags, "d", true).unwrap(),
+            "absent flag keeps default"
+        );
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! * [`studies`] — the paper's three use cases: scalability prediction,
 //!   mapping-algorithm evaluation, and the projection-filter parameter
 //!   study;
+//! * [`request`] — the vocabulary and the gated one-point prediction
+//!   shared by `picpredict predict` and the service's `/predict`;
 //! * [`run_case_study`] — one call that runs the mini-app, generates the
 //!   workload, fits models, validates, and predicts application time;
 //! * [`serve`] — the resident prediction service: a long-lived daemon
@@ -46,6 +48,7 @@
 pub mod gridspec;
 pub mod kernel_models;
 pub mod pipeline;
+pub mod request;
 pub mod serve;
 pub mod simpoint;
 pub mod studies;
@@ -54,10 +57,7 @@ pub mod validate;
 pub use gridspec::{grid_entries, grid_to_json, SweepGridEntry, SweepGridSpec};
 pub use kernel_models::{FitStrategy, KernelModels};
 pub use pipeline::run_case_study;
-pub use pipeline::{
-    build_schedule, predict_application, predict_application_with_stats, predict_kernel_seconds,
-    CaseStudyOutput, DesRunStats,
-};
+pub use pipeline::{build_schedule, predict_application, predict_kernel_seconds, CaseStudyOutput};
 pub use serve::{registry::TraceRegistry, ServeConfig, Server};
 pub use simpoint::{build_plan as build_simpoint_plan, SimpointOptions};
 pub use validate::{kernel_mape_vs_ground_truth, workload_matches_ground_truth};

@@ -13,6 +13,7 @@
 use crate::kernel_models::{FitStrategy, KernelModels};
 use crate::validate;
 use pic_des::{simulate, MachineSpec, SimTimeline, StepWorkload, SyncMode};
+use pic_grid::RcbDecomposition;
 use pic_sim::instrument::WorkloadParams;
 use pic_sim::{KernelKind, MiniPic, SimConfig, SimOutput};
 use pic_types::{Rank, Result};
@@ -105,41 +106,6 @@ pub fn predict_application(
     simulate(schedule, machine, mode)
 }
 
-/// DES execution statistics of one prediction, surfaced through
-/// `picpredict predict` JSON and the serve `/predict` response.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct DesRunStats {
-    /// Event-queue implementation (`"calendar"`, or `"none"` when the
-    /// barrier fast path ran).
-    pub queue: &'static str,
-    /// Whether the bulk-synchronous batched fast path evaluated the run.
-    pub barrier_fast_path: bool,
-    /// Simulator wall-clock seconds for this prediction.
-    pub wall_seconds: f64,
-    /// Events processed (equals the timeline's `events_processed`).
-    pub events_processed: u64,
-}
-
-/// Run the system-level simulation, also returning DES throughput
-/// statistics (queue implementation, wall seconds, events processed).
-pub fn predict_application_with_stats(
-    schedule: &[StepWorkload],
-    machine: &MachineSpec,
-    mode: SyncMode,
-) -> Result<(SimTimeline, DesRunStats)> {
-    let start = std::time::Instant::now();
-    let (timeline, stats) =
-        pic_des::simulate_with_stats(schedule, machine, mode, pic_des::EngineConfig)?;
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let run = DesRunStats {
-        queue: stats.queue,
-        barrier_fast_path: stats.barrier_fast_path,
-        wall_seconds,
-        events_processed: timeline.events_processed,
-    };
-    Ok((timeline, run))
-}
-
 /// Everything the end-to-end case study produces.
 #[derive(Debug)]
 pub struct CaseStudyOutput {
@@ -186,12 +152,7 @@ pub fn run_case_study(
 ) -> Result<CaseStudyOutput> {
     let app = MiniPic::new(cfg.clone())?;
     let mesh = app.mesh().clone();
-    let elements_per_rank: Vec<u32> = app
-        .decomposition()
-        .element_counts()
-        .iter()
-        .map(|&c| c as u32)
-        .collect();
+    let elements = elements_per_rank(app.decomposition());
     let sim = app.run()?;
 
     let wcfg = WorkloadConfig::new(cfg.ranks, cfg.mapping, cfg.projection_filter);
@@ -205,7 +166,7 @@ pub fn run_case_study(
     let predicted = predict_kernel_seconds(
         &workload,
         &models,
-        &elements_per_rank,
+        &elements,
         cfg.order,
         cfg.projection_filter,
     );
@@ -229,14 +190,16 @@ pub fn run_case_study(
     })
 }
 
+/// The static fluid workload: elements each rank owns under `decomp`.
+pub fn elements_per_rank(decomp: &RcbDecomposition) -> Vec<u32> {
+    decomp.element_counts().iter().map(|&c| c as u32).collect()
+}
+
 /// Payload a migrating particle carries: position + velocity + scalar
 /// properties, double precision (CMT-nek particles carry O(10) doubles).
 pub fn bytes_per_particle() -> u64 {
     10 * 8
 }
-
-/// Re-export for the `validate` path used by [`run_case_study`].
-pub use crate::validate::workload_matches_ground_truth as _validate_workload;
 
 #[cfg(test)]
 mod tests {

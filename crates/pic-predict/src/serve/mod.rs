@@ -24,8 +24,8 @@
 //!   grid — both serialize through [`crate::gridspec`], and the cached
 //!   sweep engine is bit-identical to the per-configuration reference.
 //! * **Gated responses.** Sweep grids pass
-//!   [`pic_analysis::assert_sweep_valid`] and predictions pass
-//!   [`pic_analysis::check_prediction`] before a byte leaves the server.
+//!   [`pic_analysis::assert_sweep_valid`]; predictions pass the gates of
+//!   [`crate::request::predict_point`], the path `picpredict predict` runs.
 //! * **Opt-in reduced replay.** A sweep request carrying `"reduced":
 //!   true` replays SimPoint representatives instead of every sample
 //!   (stride 1 only); the reduction plan is cached per trace in its
@@ -42,8 +42,9 @@ pub mod registry;
 
 use crate::gridspec::{grid_entries, grid_to_json, SweepGridSpec};
 use crate::kernel_models::KernelModels;
+use crate::request::{self, PredictError, PredictSpec};
 use http::{HttpError, Request};
-use pic_grid::{ElementMesh, MeshDims};
+use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
 use pic_trace::{AnyTraceReader, BoundedReader, DigestReader, ParticleTrace};
 use pic_types::hash::fnv1a_128;
@@ -290,6 +291,9 @@ impl Drop for Server {
 
 // --------------------------------------------------------------- routing
 
+/// A handler's answer: `(status, JSON body)`, or an error response.
+type Reply<T = (u16, String)> = std::result::Result<T, HttpError>;
+
 fn handle_connection(state: &ServerState, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(state.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(state.cfg.write_timeout));
@@ -341,11 +345,7 @@ fn lingering_close(reader: &mut BufReader<TcpStream>) {
 
 /// Dispatch one parsed request. JSON-body endpoints read the (bounded)
 /// body here; `POST /traces` streams it straight into the decoder.
-fn route(
-    state: &ServerState,
-    head: &Request,
-    reader: &mut BufReader<TcpStream>,
-) -> std::result::Result<(u16, String), HttpError> {
+fn route(state: &ServerState, head: &Request, reader: &mut BufReader<TcpStream>) -> Reply {
     match (head.method.as_str(), head.path.as_str()) {
         ("GET", "/healthz") => Ok((200, "{\"ok\":true}".to_string())),
         ("GET", "/stats") => handle_stats(state),
@@ -384,7 +384,7 @@ fn read_json_body(
     state: &ServerState,
     head: &Request,
     reader: &mut BufReader<TcpStream>,
-) -> std::result::Result<Vec<u8>, HttpError> {
+) -> Reply<Vec<u8>> {
     let len = head
         .content_length
         .ok_or_else(|| HttpError::new(411, "Content-Length required"))?;
@@ -448,11 +448,7 @@ impl Drop for FlightPublisher<'_> {
 
 /// Collapse byte-identical in-flight requests onto one computation: the
 /// first arrival computes, later arrivals park and share the response.
-fn single_flight(
-    state: &ServerState,
-    key: u128,
-    compute: impl FnOnce() -> std::result::Result<(u16, String), HttpError>,
-) -> std::result::Result<(u16, String), HttpError> {
+fn single_flight(state: &ServerState, key: u128, compute: impl FnOnce() -> Reply) -> Reply {
     let (flight, leader) = {
         let mut tbl = state.inflight.lock();
         match tbl.get(&key) {
@@ -498,7 +494,7 @@ fn single_flight(
 
 // -------------------------------------------------------------- handlers
 
-fn handle_stats(state: &ServerState) -> std::result::Result<(u16, String), HttpError> {
+fn handle_stats(state: &ServerState) -> Reply {
     let reg = serde_json::to_string(&state.registry.stats())
         .map_err(|e| HttpError::new(500, format!("stats serialization: {e}")))?;
     let cache = serde_json::to_string(&state.registry.aggregate_cache_stats())
@@ -513,7 +509,7 @@ fn handle_stats(state: &ServerState) -> std::result::Result<(u16, String), HttpE
     Ok((200, body))
 }
 
-fn handle_list_traces(state: &ServerState) -> std::result::Result<(u16, String), HttpError> {
+fn handle_list_traces(state: &ServerState) -> Reply {
     let rows: Vec<String> = state
         .registry
         .list_traces()
@@ -532,7 +528,7 @@ fn handle_ingest_trace(
     state: &ServerState,
     head: &Request,
     reader: &mut BufReader<TcpStream>,
-) -> std::result::Result<(u16, String), HttpError> {
+) -> Reply {
     let len = head
         .content_length
         .ok_or_else(|| HttpError::new(411, "Content-Length required for trace ingest"))?;
@@ -596,10 +592,7 @@ fn handle_ingest_trace(
     Ok((200, body))
 }
 
-fn handle_ingest_models(
-    state: &ServerState,
-    body: &[u8],
-) -> std::result::Result<(u16, String), HttpError> {
+fn handle_ingest_models(state: &ServerState, body: &[u8]) -> Reply {
     let text = std::str::from_utf8(body)
         .map_err(|e| HttpError::new(400, format!("models body is not UTF-8: {e}")))?;
     // from_json runs the full admission pass: corrupt or degenerate
@@ -621,10 +614,10 @@ fn handle_ingest_models(
 // derive, which keeps client typos loud.
 
 fn default_mappings() -> Vec<String> {
-    vec!["bin-based".to_string()]
+    vec![default_mapping_one()]
 }
 fn default_filters() -> Vec<f64> {
-    vec![0.03]
+    vec![request::DEFAULT_FILTER]
 }
 fn default_strides() -> Vec<usize> {
     vec![1]
@@ -633,16 +626,16 @@ fn default_true() -> bool {
     true
 }
 fn default_order() -> usize {
-    3
+    request::DEFAULT_ORDER
 }
 fn default_machine() -> String {
-    "quartz".to_string()
+    request::DEFAULT_MACHINE.to_string()
 }
 fn default_sync() -> String {
-    "barrier".to_string()
+    request::DEFAULT_SYNC.to_string()
 }
 fn default_mapping_one() -> String {
-    "bin-based".to_string()
+    request::DEFAULT_MAPPING.to_string()
 }
 
 #[derive(Deserialize)]
@@ -705,45 +698,16 @@ struct CheckRequest {
     order: usize,
 }
 
-fn parse_request<T: Deserialize>(body: &[u8]) -> std::result::Result<T, HttpError> {
+fn parse_request<T: Deserialize>(body: &[u8]) -> Reply<T> {
     let text = std::str::from_utf8(body)
         .map_err(|e| HttpError::new(400, format!("request body is not UTF-8: {e}")))?;
     serde_json::from_str(text).map_err(|e| HttpError::new(400, format!("bad request JSON: {e}")))
 }
 
-fn parse_mapping_name(s: &str) -> std::result::Result<MappingAlgorithm, HttpError> {
-    serde_json::from_str(&format!("\"{s}\""))
-        .map_err(|_| HttpError::new(422, format!("unknown mapping '{s}'")))
-}
-
-fn parse_mesh_spec(
-    spec: Option<&str>,
-    order: usize,
-    domain: pic_types::Aabb,
-) -> std::result::Result<Option<ElementMesh>, HttpError> {
-    let Some(spec) = spec else { return Ok(None) };
-    let dims: Vec<usize> = spec
-        .split('x')
-        .map(|p| {
-            p.parse()
-                .map_err(|_| HttpError::new(422, format!("bad mesh spec '{spec}' (want AxBxC)")))
-        })
-        .collect::<std::result::Result<_, _>>()?;
-    if dims.len() != 3 {
-        return Err(HttpError::new(
-            422,
-            format!("mesh spec '{spec}' must have three axes"),
-        ));
-    }
-    ElementMesh::new(domain, MeshDims::new(dims[0], dims[1], dims[2]), order)
-        .map(Some)
-        .map_err(|e| HttpError::new(422, format!("bad mesh: {e}")))
-}
-
 fn resolve_trace(
     state: &ServerState,
     address: &str,
-) -> std::result::Result<(Arc<ParticleTrace>, Arc<pic_workload::AssignmentCache>), HttpError> {
+) -> Reply<(Arc<ParticleTrace>, Arc<pic_workload::AssignmentCache>)> {
     state.registry.get_trace(address).ok_or_else(|| {
         HttpError::new(
             404,
@@ -756,7 +720,11 @@ fn semantic(e: PicError) -> HttpError {
     HttpError::new(422, format!("{e}"))
 }
 
-fn single_filter(filters: &[f64]) -> std::result::Result<f64, HttpError> {
+fn gate_failed(e: PicError) -> HttpError {
+    HttpError::new(500, format!("response failed validity gate: {e}"))
+}
+
+fn single_filter(filters: &[f64]) -> Reply<f64> {
     match filters {
         [f] => Ok(*f),
         _ => Err(HttpError::new(
@@ -766,14 +734,15 @@ fn single_filter(filters: &[f64]) -> std::result::Result<f64, HttpError> {
     }
 }
 
-fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, String), HttpError> {
+fn handle_sweep(state: &ServerState, body: &[u8]) -> Reply {
     let req: SweepRequest = parse_request(body)?;
     let (trace, cache) = resolve_trace(state, &req.trace)?;
     let mappings: Vec<MappingAlgorithm> = req
         .mappings
         .iter()
-        .map(|s| parse_mapping_name(s))
-        .collect::<std::result::Result<_, _>>()?;
+        .map(|s| request::parse_mapping(s))
+        .collect::<Result<_>>()
+        .map_err(semantic)?;
     let spec = SweepGridSpec {
         mappings,
         ranks: req.ranks,
@@ -782,7 +751,8 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
         compute_ghosts: req.ghosts,
     };
     spec.validate().map_err(semantic)?;
-    let mesh = parse_mesh_spec(req.mesh.as_deref(), req.order, trace.meta().domain)?;
+    let mesh = request::parse_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)
+        .map_err(semantic)?;
     let points = spec.points();
     let workloads = if req.reduced {
         sweep_reduced_gated(
@@ -800,7 +770,7 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
                 .map_err(semantic)?;
         // Response gate: the full invariant catalog over every grid point.
         pic_analysis::assert_sweep_valid(&workloads, Some(trace.particle_count() as u64))
-            .map_err(|e| HttpError::new(500, format!("response failed validity gate: {e}")))?;
+            .map_err(gate_failed)?;
         workloads
     };
     let entries = grid_entries(&points, workloads);
@@ -823,7 +793,7 @@ fn sweep_reduced_gated(
     trace: &ParticleTrace,
     mesh: Option<&ElementMesh>,
     points: &[SweepPoint],
-) -> std::result::Result<Vec<pic_workload::DynamicWorkload>, HttpError> {
+) -> Reply<Vec<pic_workload::DynamicWorkload>> {
     if points.iter().any(|p| p.stride != 1) {
         return Err(HttpError::new(
             422,
@@ -876,10 +846,7 @@ fn sweep_reduced_gated(
     Ok(workloads)
 }
 
-fn handle_predict(
-    state: &ServerState,
-    body: &[u8],
-) -> std::result::Result<(u16, String), HttpError> {
+fn handle_predict(state: &ServerState, body: &[u8]) -> Reply {
     let req: PredictRequest = parse_request(body)?;
     let (trace, cache) = resolve_trace(state, &req.trace)?;
     let models = state.registry.get_models(&req.models).ok_or_else(|| {
@@ -891,77 +858,34 @@ fn handle_predict(
             ),
         )
     })?;
-    let mapping = parse_mapping_name(&req.mapping)?;
-    let filter = single_filter(&req.filters)?;
-    let mesh = parse_mesh_spec(req.mesh.as_deref(), req.order, trace.meta().domain)?;
-    let machine = match req.machine.as_str() {
-        "quartz" | "quartz-like" => pic_des::MachineSpec::quartz_like(),
-        "vulcan" | "vulcan-like" => pic_des::MachineSpec::vulcan_like(),
-        "localhost" => pic_des::MachineSpec::localhost(8),
-        other => {
-            return Err(HttpError::new(
-                422,
-                format!("unknown machine '{other}' (the service accepts presets only)"),
-            ))
-        }
+    let mapping = request::parse_mapping(&req.mapping).map_err(semantic)?;
+    let spec = PredictSpec {
+        workload: WorkloadConfig::new(req.ranks, mapping, single_filter(&req.filters)?),
+        machine: request::machine_preset(&req.machine).map_err(semantic)?,
+        sync: request::parse_sync(&req.sync).map_err(semantic)?,
+        mesh: request::parse_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)
+            .map_err(semantic)?,
+        order: req.order,
     };
-    let sync = match req.sync.as_str() {
-        "neighbor" => pic_des::SyncMode::NeighborSync,
-        "barrier" => pic_des::SyncMode::BulkSynchronous,
-        other => return Err(HttpError::new(422, format!("unknown sync mode '{other}'"))),
-    };
-    // One-point cached sweep: bit-identical to the offline generator and
+    // One-point cached replay: bit-identical to the offline CLI and
     // shares the assignment artifacts with every other request.
-    let point = SweepPoint::new(WorkloadConfig::new(req.ranks, mapping, filter));
-    let (mut workloads, _) =
-        pic_workload::sweep_with_cache(&trace, std::slice::from_ref(&point), mesh.as_ref(), &cache)
-            .map_err(semantic)?;
-    let workload = workloads.pop().expect("one point in, one workload out");
-    pic_analysis::assert_workload_valid(&workload, Some(trace.particle_count() as u64))
-        .map_err(|e| HttpError::new(500, format!("response failed validity gate: {e}")))?;
-    let elements: Vec<u32> = match &mesh {
-        Some(m) => {
-            let d = pic_grid::RcbDecomposition::decompose(m, req.ranks).map_err(semantic)?;
-            d.element_counts().iter().map(|&c| c as u32).collect()
-        }
-        None => vec![0; req.ranks],
-    };
-    let predicted = crate::predict_kernel_seconds(&workload, &models, &elements, req.order, filter);
-    // Response gate: no NaN / negative / ragged kernel time ships.
-    pic_analysis::assert_prediction_valid(&predicted)
-        .map_err(|e| HttpError::new(500, format!("response failed validity gate: {e}")))?;
-    let schedule = crate::build_schedule(
-        &workload,
-        &predicted,
-        trace.meta().sample_interval,
-        crate::pipeline::bytes_per_particle(),
-    );
-    let (timeline, des) =
-        crate::predict_application_with_stats(&schedule, &machine, sync).map_err(semantic)?;
-    let body = format!(
-        "{{\"machine\":{},\"sync\":{},\"predicted_seconds\":{},\"mean_idle_fraction\":{},\
-         \"events_processed\":{},\"des_queue\":{},\"des_barrier_fast_path\":{},\
-         \"des_wall_seconds\":{},\"samples\":{},\"ranks\":{}}}",
-        http::json_escape(&machine.name),
-        http::json_escape(&req.sync),
-        timeline.total_seconds,
-        timeline.mean_idle_fraction(),
-        timeline.events_processed,
-        http::json_escape(des.queue),
-        des.barrier_fast_path,
-        des.wall_seconds,
-        workload.samples(),
-        workload.ranks,
-    );
+    let prediction =
+        request::predict_point(&trace, &models, &spec, Some(&cache)).map_err(|e| match e {
+            PredictError::Refused(e) => semantic(e),
+            PredictError::Gate(e) => gate_failed(e),
+        })?;
+    let body = serde_json::to_string(&prediction)
+        .map_err(|e| HttpError::new(500, format!("prediction serialization: {e}")))?;
     Ok((200, body))
 }
 
-fn handle_check(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, String), HttpError> {
+fn handle_check(state: &ServerState, body: &[u8]) -> Reply {
     let req: CheckRequest = parse_request(body)?;
     let (trace, cache) = resolve_trace(state, &req.trace)?;
-    let mapping = parse_mapping_name(&req.mapping)?;
+    let mapping = request::parse_mapping(&req.mapping).map_err(semantic)?;
     let filter = single_filter(&req.filters)?;
-    let mesh = parse_mesh_spec(req.mesh.as_deref(), req.order, trace.meta().domain)?;
+    let mesh = request::parse_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)
+        .map_err(semantic)?;
     let point = SweepPoint::new(WorkloadConfig::new(req.ranks, mapping, filter));
     let (mut workloads, _) =
         pic_workload::sweep_with_cache(&trace, std::slice::from_ref(&point), mesh.as_ref(), &cache)

@@ -73,6 +73,24 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
     )
 }
 
+/// Any JSON document, kept as the vendored serde value tree.
+struct Json(serde::Value);
+
+impl serde::Deserialize for Json {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Json(v.clone()))
+    }
+}
+
+/// The numeric value of top-level `key` in a JSON object response.
+fn json_f64_field(body: &str, key: &str) -> f64 {
+    let Json(v) = serde_json::from_str(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    v.as_map()
+        .and_then(|m| m.iter().find(|(k, _)| k == key))
+        .and_then(|(_, v)| v.as_f64())
+        .unwrap_or_else(|| panic!("no numeric {key} in {body}"))
+}
+
 /// Pull the string value of `"key":"..."` out of a flat JSON response.
 fn json_str_field(body: &str, key: &str) -> String {
     let marker = format!("\"{key}\":\"");
@@ -189,8 +207,9 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
         pic_des::SyncMode::BulkSynchronous,
     )
     .unwrap();
-    assert!(
-        served.contains(&format!("\"predicted_seconds\":{}", timeline.total_seconds)),
+    assert_eq!(
+        json_f64_field(&served, "predicted_seconds").to_bits(),
+        timeline.total_seconds.to_bits(),
         "serve prediction {served} vs offline {}",
         timeline.total_seconds
     );
@@ -264,7 +283,12 @@ fn lru_eviction_and_reingest_yield_identical_artifacts() {
 
 #[test]
 fn fault_corpus_over_http_yields_positioned_4xx_and_server_survives() {
-    let trace = make_trace(3);
+    let run = MiniPic::new(base_cfg(3)).unwrap().run().unwrap();
+    let trace = run.trace;
+    let models_json =
+        pic_predict::KernelModels::fit(&run.recorder, &pic_predict::FitStrategy::Linear, 42)
+            .unwrap()
+            .to_json();
     let good = codec::encode_trace(&trace, Precision::F64).unwrap();
     let cfg = ServeConfig {
         max_body_bytes: 1 << 20,
@@ -338,26 +362,95 @@ fn fault_corpus_over_http_yields_positioned_4xx_and_server_survives() {
         );
     }
 
-    // Semantic faults on the JSON endpoints.
-    let (status, body) = request(addr, "POST", "/sweep", b"not json at all");
-    assert_eq!(status, 400, "{body}");
+    // Semantic faults on the JSON endpoints, one row per error class:
+    // 400 unparsable body, 404 unknown trace or models, 422 a value the
+    // shared request vocabulary refuses.
+    let (status, body) = request(addr, "POST", "/traces", &good);
+    assert_eq!(status, 200, "{body}");
+    let t = json_str_field(&body, "address");
+    let (status, body) = request(addr, "POST", "/models", models_json.as_bytes());
+    assert_eq!(status, 200, "{body}");
+    let m = json_str_field(&body, "address");
+    let point = format!("\"trace\":\"{t}\",\"ranks\":4");
+    let predict = format!("{point},\"models\":\"{m}\"");
+    let table: Vec<(&str, String, u16)> = vec![
+        ("/sweep", "not json at all".into(), 400),
+        ("/predict", "not json at all".into(), 400),
+        ("/check", "{\"trace\":".into(), 400),
+        ("/sweep", "{\"trace\":\"0000\",\"ranks\":[4]}".into(), 404),
+        (
+            "/predict",
+            format!("{{\"trace\":\"0000\",\"models\":\"{m}\",\"ranks\":4}}"),
+            404,
+        ),
+        ("/check", "{\"trace\":\"0000\",\"ranks\":4}".into(), 404),
+        ("/predict", format!("{{{point},\"models\":\"0000\"}}"), 404),
+        (
+            "/sweep",
+            format!("{{\"trace\":\"{t}\",\"ranks\":[4],\"mappings\":[\"quantum\"]}}"),
+            422,
+        ),
+        ("/sweep", format!("{{\"trace\":\"{t}\",\"ranks\":[]}}"), 422),
+        (
+            "/sweep",
+            format!("{{\"trace\":\"{t}\",\"ranks\":[4],\"mesh\":\"4x4\"}}"),
+            422,
+        ),
+        (
+            "/predict",
+            format!("{{{predict},\"mapping\":\"quantum\"}}"),
+            422,
+        ),
+        (
+            "/predict",
+            format!("{{{predict},\"machine\":\"cray\"}}"),
+            422,
+        ),
+        (
+            "/predict",
+            format!("{{{predict},\"machine\":\"machine.json\"}}"),
+            422,
+        ),
+        (
+            "/predict",
+            format!("{{{predict},\"sync\":\"bulk-synchronous\"}}"),
+            422,
+        ),
+        ("/predict", format!("{{{predict},\"mesh\":\"4x4\"}}"), 422),
+        ("/predict", format!("{{{predict},\"mesh\":\"4xax4\"}}"), 422),
+        ("/predict", format!("{{{predict},\"filters\":[]}}"), 422),
+        (
+            "/predict",
+            format!("{{{predict},\"filters\":[0.01,0.02]}}"),
+            422,
+        ),
+        (
+            "/check",
+            format!("{{{point},\"mapping\":\"quantum\"}}"),
+            422,
+        ),
+        ("/check", format!("{{{point},\"mesh\":\"4x4x4x4\"}}"), 422),
+        ("/check", format!("{{{point},\"filters\":[]}}"), 422),
+        (
+            "/check",
+            format!("{{{point},\"filters\":[0.01,0.02]}}"),
+            422,
+        ),
+    ];
+    for (path, body, want) in &table {
+        let (status, resp) = request(addr, "POST", path, body.as_bytes());
+        assert_eq!(status, *want, "{path} {body}: {resp}");
+    }
+    // ... while the same point without the faulty field is served.
     let (status, body) = request(
         addr,
         "POST",
-        "/sweep",
-        b"{\"trace\":\"0000\",\"ranks\":[4]}",
+        "/predict",
+        format!("{{{predict}}}").as_bytes(),
     );
-    assert_eq!(status, 404, "{body}");
-    let (status, body) = request(addr, "POST", "/traces", &good);
     assert_eq!(status, 200, "{body}");
-    let address = json_str_field(&body, "address");
-    let bad_mapping =
-        format!("{{\"trace\":\"{address}\",\"ranks\":[4],\"mappings\":[\"quantum\"]}}");
-    let (status, body) = request(addr, "POST", "/sweep", bad_mapping.as_bytes());
-    assert_eq!(status, 422, "{body}");
-    let empty_ranks = format!("{{\"trace\":\"{address}\",\"ranks\":[]}}");
-    let (status, body) = request(addr, "POST", "/sweep", empty_ranks.as_bytes());
-    assert_eq!(status, 422, "{body}");
+    let (status, body) = request(addr, "POST", "/check", format!("{{{point}}}").as_bytes());
+    assert_eq!(status, 200, "{body}");
 
     // After the whole corpus, the server still answers.
     let (status, body) = get(addr, "/healthz");
